@@ -1,11 +1,9 @@
-"""Static analysis: storage model, state lattices, dataflow, checking."""
+"""Static analysis: storage model, state lattices, dataflow, checking.
 
-from .cfg import CFG, CFGBuilder, build_cfg
-from .checker import CheckContext, FunctionChecker, check_function
-from .engine import TracePoint, TracingChecker, trace_function, trace_source
-from .states import AllocState, DefState, NullState, RefState
-from .storage import AliasMap, Ref, RefBase
-from .store import Store, merge_all
+The re-exported names load on first use (see :mod:`repro._lazy`).
+"""
+
+from .._lazy import lazy_exports
 
 __all__ = [
     "CFG",
@@ -28,3 +26,25 @@ __all__ = [
     "Store",
     "merge_all",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "CFG": ".cfg",
+    "CFGBuilder": ".cfg",
+    "build_cfg": ".cfg",
+    "CheckContext": ".checker",
+    "FunctionChecker": ".checker",
+    "check_function": ".checker",
+    "TracePoint": ".engine",
+    "TracingChecker": ".engine",
+    "trace_function": ".engine",
+    "trace_source": ".engine",
+    "AllocState": ".states",
+    "DefState": ".states",
+    "NullState": ".states",
+    "RefState": ".states",
+    "AliasMap": ".storage",
+    "Ref": ".storage",
+    "RefBase": ".storage",
+    "Store": ".store",
+    "merge_all": ".store",
+})

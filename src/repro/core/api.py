@@ -16,20 +16,16 @@ function independently against that merged interface.
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import os
 import pickle
 import tempfile
 import threading
 
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
-from ..analysis.checker import CheckContext, FunctionChecker
-from ..annotations.parse import AnnotationProblem
 from ..flags.registry import DEFAULT_FLAGS, Flags
-from ..frontend import cast as A
-from ..frontend.lexer import LexError
-from ..frontend.parser import ParseError, Parser
-from ..frontend.preprocessor import PreprocessError, Preprocessor
 from ..frontend.source import SourceManager
 from .faults import (
     FatalError,
@@ -41,8 +37,6 @@ from .faults import (
 from ..frontend.symtab import SymbolTable
 from ..frontend.tokens import Token
 from ..messages.message import Message, MessageCode
-from ..messages.reporter import Reporter
-from ..messages.suppress import SuppressionTable
 from ..obs.trace import NULL_TRACER
 from ..stdlib.specs import (
     PRELUDE_COVERED_HEADERS,
@@ -52,12 +46,48 @@ from ..stdlib.specs import (
     SYSTEM_HEADERS,
 )
 
-_PRELUDE_PARSE_CACHE: tuple | None = None
+if TYPE_CHECKING:
+    from ..annotations.parse import AnnotationProblem
+    from ..frontend import cast as A
+
+#: Modules only a unit that must be parsed and checked uses. They are
+#: imported inside the functions that need them, so a check answered
+#: entirely from the result cache never loads them; long-lived servers
+#: load them up front (``service.protocol.warm_process``).
+FRONTEND_MODULES = (
+    "repro.frontend.lexer",
+    "repro.frontend.preprocessor",
+    "repro.frontend.parser",
+)
+ANALYSIS_MODULES = ("repro.analysis.checker",)
+
+
+def frontend_errors() -> tuple[type, ...]:
+    """The exception types marking malformed input (loads the frontend)."""
+    from ..frontend.lexer import LexError
+    from ..frontend.parser import ParseError
+    from ..frontend.preprocessor import PreprocessError
+
+    return (LexError, PreprocessError, ParseError)
+
+
+#: The prelude, set up once per process as ``(symtab, parsed)``.
+#: *symtab* is its interface, merged into every program symbol table;
+#: *parsed* is ``(unit, file_scope)`` — its translation unit and the
+#: parser scope holding its typedefs/tags, which pre-seeds user-unit
+#: parsers — or, after a snapshot load, that pair still pickled. The
+#: bytes are unpickled by :func:`_prelude_parsed` only when a unit is
+#: actually parsed, so a run whose units all hit the cache loads neither
+#: the parser nor the AST classes.
+_PRELUDE: tuple | None = None
 _PRELUDE_LOCK = threading.Lock()
 
 #: On-disk layout version of the prelude snapshot payload. Bump when the
 #: snapshot tuple shape changes; stale files become silent misses.
-_PRELUDE_SNAPSHOT_VERSION = 1
+#: v2: ``(version, symtab, pickled (unit, scope))`` — the parse result is
+#: nested bytes, so loading the snapshot imports neither the parser nor
+#: the AST.
+_PRELUDE_SNAPSHOT_VERSION = 2
 
 _FRONTEND_CODE_DIGEST: str | None = None
 
@@ -72,19 +102,18 @@ def _frontend_code_digest() -> str:
     """
     global _FRONTEND_CODE_DIGEST
     if _FRONTEND_CODE_DIGEST is None:
-        from ..annotations import kinds, parse
-        from ..frontend import (
-            cast, ctypes, lexer, parser, preprocessor, source, tokens,
-        )
-        from ..stdlib import specs
-
         digest = hashlib.sha256()
+        # The files are located, not imported: keying a snapshot must not
+        # load the parser the snapshot exists to avoid.
         modules = (
-            lexer, tokens, source, preprocessor, parser, cast, ctypes,
-            kinds, parse, specs,
+            "..frontend.lexer", "..frontend.tokens", "..frontend.source",
+            "..frontend.preprocessor", "..frontend.parser",
+            "..frontend.cast", "..frontend.ctypes", "..annotations.kinds",
+            "..annotations.parse", "..stdlib.specs",
         )
         for module in modules:
-            path = getattr(module, "__file__", None)
+            spec = importlib.util.find_spec(module, __package__)
+            path = spec.origin if spec is not None else None
             try:
                 with open(path, "rb") as handle:
                     digest.update(handle.read())
@@ -136,6 +165,8 @@ def _load_prelude_snapshot(snapshot_dir: str, notes: list[str]) -> tuple | None:
             not isinstance(payload, tuple)
             or len(payload) != 3
             or payload[0] != _PRELUDE_SNAPSHOT_VERSION
+            or not isinstance(payload[1], SymbolTable)
+            or not isinstance(payload[2], bytes)
         ):
             raise ValueError("unexpected prelude snapshot shape")
         return (payload[1], payload[2])
@@ -151,7 +182,7 @@ def _load_prelude_snapshot(snapshot_dir: str, notes: list[str]) -> tuple | None:
         return None
 
 
-def _write_prelude_snapshot(snapshot_dir: str, parsed: tuple) -> None:
+def _write_prelude_snapshot(snapshot_dir: str, prelude: tuple) -> None:
     """Atomic snapshot write; failures are silent (the snapshot is only
     an accelerator — next process simply reparses)."""
     path = os.path.join(snapshot_dir, prelude_snapshot_key() + ".pkl")
@@ -165,7 +196,12 @@ def _write_prelude_snapshot(snapshot_dir: str, parsed: tuple) -> None:
                     os.unlink(os.path.join(snapshot_dir, entry))
                 except OSError:
                     pass
-        payload = (_PRELUDE_SNAPSHOT_VERSION, parsed[0], parsed[1])
+        symtab, parsed = prelude
+        if not isinstance(parsed, bytes):
+            # One blob for unit and scope keeps the types they share
+            # shared after loading.
+            parsed = pickle.dumps(parsed)
+        payload = (_PRELUDE_SNAPSHOT_VERSION, symtab, parsed)
         fd, tmp = tempfile.mkstemp(
             dir=snapshot_dir, prefix=".tmp-", suffix="~"
         )
@@ -177,6 +213,9 @@ def _write_prelude_snapshot(snapshot_dir: str, parsed: tuple) -> None:
 
 
 def _parse_prelude() -> tuple:
+    from ..frontend.parser import Parser
+    from ..frontend.preprocessor import Preprocessor
+
     manager = SourceManager()
     prelude_pp = Preprocessor(
         manager, defines=dict(PRELUDE_DEFINES), system_headers=SYSTEM_HEADERS
@@ -184,51 +223,83 @@ def _parse_prelude() -> tuple:
     toks = prelude_pp.preprocess_text(PRELUDE_TEXT, PRELUDE_NAME)
     parser = Parser(toks, PRELUDE_NAME)
     unit = parser.parse_translation_unit()
-    return (unit, parser.scope)
+    symtab = SymbolTable()
+    symtab.add_unit(unit)
+    return (symtab, (unit, parser.scope))
 
 
-def _prelude_parsed() -> tuple:
-    """Parse the standard-library prelude once per process.
-
-    Returns ``(unit, file_scope)``: the prelude's translation unit (its
-    declarations are merged into every symbol table) and the parser file
-    scope holding its typedefs/tags, used to pre-seed user-unit parsers.
+def _prelude() -> tuple:
+    """The published ``(symtab, parsed)`` prelude, parsing it once.
 
     Initialization is guarded by a lock so concurrent daemon requests and
     pool-worker initializers racing on a fresh process each see exactly
-    one parse; the fast path reads the published cache without locking.
+    one parse; the fast path reads the published value without locking.
     """
-    global _PRELUDE_PARSE_CACHE
-    cached = _PRELUDE_PARSE_CACHE
+    global _PRELUDE
+    cached = _PRELUDE
     if cached is None:
         with _PRELUDE_LOCK:
-            if _PRELUDE_PARSE_CACHE is None:
-                _PRELUDE_PARSE_CACHE = _parse_prelude()
-            cached = _PRELUDE_PARSE_CACHE
+            if _PRELUDE is None:
+                _PRELUDE = _parse_prelude()
+            cached = _PRELUDE
     return cached
 
 
-def ensure_process_initialized(snapshot_dir: str | None = None) -> list[str]:
+def _prelude_parsed() -> tuple:
+    """The prelude's ``(unit, file_scope)``, for parsing user units.
+
+    A pair loaded from a snapshot is unpickled here, on first use.
+    """
+    global _PRELUDE
+    cached = _prelude()
+    if isinstance(cached[1], bytes):
+        with _PRELUDE_LOCK:
+            symtab, parsed = _PRELUDE
+            if isinstance(parsed, bytes):
+                _PRELUDE = (symtab, pickle.loads(parsed))
+            cached = _PRELUDE
+    return cached[1]
+
+
+def prelude_parse_pending() -> bool:
+    """True while the prelude's parse is still pickled: loaded from a
+    snapshot and not yet needed by any unit parse."""
+    cached = _PRELUDE
+    return cached is not None and isinstance(cached[1], bytes)
+
+
+def ensure_process_initialized(
+    snapshot_dir: str | None = None, before_parse=None
+) -> list[str]:
     """Warm per-process caches; safe to call from pool-worker initializers.
 
     With *snapshot_dir* (the engine passes ``<cache>/prelude``), the
-    parsed prelude is loaded from a pickled snapshot keyed by the prelude
-    text + frontend code digest — a one-time parse per machine instead of
-    per process — and written back after a cold parse. Returns run notes
-    (e.g. a dropped corrupt snapshot); an empty list on the happy paths.
+    prelude is loaded from a pickled snapshot keyed by the prelude text +
+    frontend code digest — a one-time parse per machine instead of per
+    process — and written back after a cold parse. *before_parse*, when
+    given, is called just before the prelude is actually parsed (never on
+    a snapshot hit); the engine loads the frontend there under its own
+    profile row. Returns run notes (e.g. a dropped corrupt snapshot); an
+    empty list on the happy paths.
     """
-    global _PRELUDE_PARSE_CACHE
+    global _PRELUDE
     notes: list[str] = []
-    if _PRELUDE_PARSE_CACHE is not None or snapshot_dir is None:
-        _prelude_parsed()
+    if _PRELUDE is not None:
+        return notes
+    if snapshot_dir is None:
+        if before_parse is not None:
+            before_parse()
+        _prelude()
         return notes
     with _PRELUDE_LOCK:
-        if _PRELUDE_PARSE_CACHE is None:
+        if _PRELUDE is None:
             loaded = _load_prelude_snapshot(snapshot_dir, notes)
             if loaded is None:
+                if before_parse is not None:
+                    before_parse()
                 loaded = _parse_prelude()
                 _write_prelude_snapshot(snapshot_dir, loaded)
-            _PRELUDE_PARSE_CACHE = loaded
+            _PRELUDE = loaded
     return notes
 
 
@@ -251,6 +322,8 @@ class ParsedUnit:
 
 def failed_parsed_unit(name: str, fatal: FatalError) -> ParsedUnit:
     """The stand-in for a unit the frontend could not process at all."""
+    from ..frontend import cast as A
+
     unit = A.TranslationUnit(fatal.location, name=name, items=[])
     return ParsedUnit(
         unit=unit, controls=[], problems=[], enum_consts={},
@@ -286,37 +359,20 @@ def unit_interface(pu: "ParsedUnit") -> SymbolTable:
     return symtab
 
 
-_PRELUDE_SYMTAB_CACHE: SymbolTable | None = None
-
-
-def _prelude_symtab() -> SymbolTable:
-    """The prelude's symbol table, built once per process.
-
-    Walking the prelude AST into a fresh table costs a few milliseconds
-    per check; the declarations never change within a process, so the
-    walk happens once and every run copies the result (signatures are
-    replaced, never mutated, on merge, so sharing them is safe; global
-    variables are merged in place, so they are copied per run).
-    """
-    global _PRELUDE_SYMTAB_CACHE
-    cached = _PRELUDE_SYMTAB_CACHE
-    if cached is None:
-        prelude_unit, _ = _prelude_parsed()
-        cached = SymbolTable()
-        cached.add_unit(prelude_unit)
-        _PRELUDE_SYMTAB_CACHE = cached
-    return cached
-
-
 def build_program_symtab(
     interfaces: list[SymbolTable],
     base_symtab: SymbolTable | None = None,
 ) -> SymbolTable:
     """Assemble the merged program symbol table the paper's modular
     checking assumes: prelude first, then loaded libraries, then each
-    unit's interface slice in program order."""
+    unit's interface slice in program order.
+
+    The prelude's table is built once per process and copied per run:
+    signatures are replaced, never mutated, on merge, so sharing them is
+    safe; global variables are merged in place, so they are copied.
+    """
     symtab = SymbolTable()
-    template = _prelude_symtab()
+    template = _prelude()[0]
     symtab.functions.update(template.functions)
     symtab.globals.update(
         (name, replace(gvar)) for name, gvar in template.globals.items()
@@ -352,6 +408,10 @@ def check_parsed_unit(
     plus a crash bundle under *crash_dir*, and the remaining functions
     of the unit are still checked.
     """
+    from ..analysis.checker import CheckContext, FunctionChecker
+    from ..messages.reporter import Reporter
+    from ..messages.suppress import SuppressionTable
+
     reporter = Reporter(flags=flags)
     degraded = pu.degraded
     internal_errors = 0
@@ -544,9 +604,10 @@ class Checker:
         of aborting the batch. ``check_parsed_unit`` turns the record
         into a single parse-error / internal-error message.
         """
+        errors = frontend_errors()
         try:
             return self._parse_unit_raw(text, name)
-        except (LexError, PreprocessError, ParseError) as exc:
+        except errors as exc:
             return failed_parsed_unit(name, frontend_fatal(exc, name))
         except Exception as exc:
             write_crash_bundle(
@@ -558,6 +619,9 @@ class Checker:
             )
 
     def _parse_unit_raw(self, text: str, name: str) -> ParsedUnit:
+        from ..frontend.parser import Parser
+        from ..frontend.preprocessor import Preprocessor
+
         pp = Preprocessor(
             self.sources, defines=dict(self.defines),
             system_headers=SYSTEM_HEADERS,

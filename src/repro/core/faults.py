@@ -34,7 +34,6 @@ import os
 import sys
 import threading
 import time
-import traceback
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -195,6 +194,8 @@ def write_crash_bundle(
     filesystem, bad directory, ...): crash reporting is best-effort and
     must never turn one contained fault into a fatal one.
     """
+    import traceback
+
     directory = crash_dir or DEFAULT_CRASH_DIR
     digest = (
         hashlib.sha256(source_text.encode("utf-8", "replace")).hexdigest()

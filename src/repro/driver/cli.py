@@ -13,7 +13,8 @@ Usage follows LCLint's conventions::
     -stats                  print checking statistics
     --profile               print a per-phase timing table
                             (lex / preprocess / parse / analyze,
-                            cold vs warm units)
+                            module load on first use, cold vs warm
+                            units)
     -flags                  list all flags with their defaults
     -quiet                  suppress the summary line
 
@@ -87,10 +88,12 @@ from __future__ import annotations
 import sys
 import threading
 import time
+from typing import TYPE_CHECKING
 
-from ..analysis.cfg import build_cfg
 from ..flags.registry import FLAG_REGISTRY, Flags, UnknownFlag
-from ..core.api import Checker, CheckResult
+
+if TYPE_CHECKING:
+    from ..core.api import Checker, CheckResult
 
 USAGE = __doc__ or ""
 
@@ -368,6 +371,8 @@ def run(argv: list[str], cache=None, jobs: int | None = None) -> tuple[int, str]
                 for note in stats.notes:
                     out.append(f"pylclint: warning: {note}")
             else:
+                from ..core.api import Checker
+
                 checker = Checker(flags=flags)
                 for lib in load_paths:
                     checker.load_library(lib)
@@ -461,6 +466,8 @@ def _trace_for(checker: Checker, result: CheckResult, name: str) -> str:
 
 
 def _dot_for(result: CheckResult, name: str) -> str:
+    from ..analysis.cfg import build_cfg
+
     for unit in result.units:
         for fdef in unit.functions():
             if fdef.name == name:

@@ -1,21 +1,18 @@
-"""C frontend: sources, preprocessing, lexing, parsing, types, symbols."""
+"""C frontend: sources, preprocessing, lexing, parsing, types, symbols.
+
+The re-exported names load on first use (see :mod:`repro._lazy`):
+importing one frontend module, say :mod:`.source`, does not load the
+lexer, preprocessor, or parser.
+"""
 
 from __future__ import annotations
 
-from . import cast
-from .lexer import (
-    LexError,
-    Lexer,
-    ReferenceLexer,
-    lexer_engine,
-    reference_tokenize,
-    tokenize,
-)
-from .parser import ParseError, Parser, parse_tokens
-from .preprocessor import PreprocessError, Preprocessor
-from .source import BUILTIN_LOCATION, Location, SourceFile, SourceManager
-from .symtab import FunctionSignature, GlobalVariable, SymbolTable
-from .tokens import Token, TokenKind
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .source import SourceManager
 
 __all__ = [
     "cast",
@@ -42,6 +39,30 @@ __all__ = [
     "parse_source",
 ]
 
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "cast": ".cast",
+    "LexError": ".lexer",
+    "Lexer": ".lexer",
+    "ReferenceLexer": ".lexer",
+    "lexer_engine": ".lexer",
+    "reference_tokenize": ".lexer",
+    "tokenize": ".lexer",
+    "ParseError": ".parser",
+    "Parser": ".parser",
+    "parse_tokens": ".parser",
+    "PreprocessError": ".preprocessor",
+    "Preprocessor": ".preprocessor",
+    "BUILTIN_LOCATION": ".source",
+    "Location": ".source",
+    "SourceFile": ".source",
+    "SourceManager": ".source",
+    "FunctionSignature": ".symtab",
+    "GlobalVariable": ".symtab",
+    "SymbolTable": ".symtab",
+    "Token": ".tokens",
+    "TokenKind": ".tokens",
+})
+
 
 def parse_source(
     text: str,
@@ -54,6 +75,10 @@ def parse_source(
 
     Returns ``(unit, control_tokens, annotation_problems)``.
     """
+    from .parser import Parser
+    from .preprocessor import Preprocessor
+    from .source import SourceManager
+
     manager = sources or SourceManager()
     pp = Preprocessor(manager, defines=defines, system_headers=system_headers)
     toks = pp.preprocess_text(text, name)

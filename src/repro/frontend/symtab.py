@@ -10,11 +10,16 @@ standard library and any interface libraries loaded by the driver).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from ..annotations.kinds import AnnotationSet
-from . import cast as A
 from .ctypes import CType, FunctionType, ParamType, strip_typedefs
 from .source import BUILTIN_LOCATION, Location
+
+if TYPE_CHECKING:
+    # Only add_unit walks an AST: a symbol table unpickled from a cache
+    # entry needs no AST classes, so the warm path never loads them.
+    from . import cast as A
 
 
 @dataclass
@@ -61,6 +66,8 @@ class SymbolTable:
     # -- construction -------------------------------------------------------
 
     def add_unit(self, unit: A.TranslationUnit) -> None:
+        from . import cast as A
+
         for item in unit.items:
             if isinstance(item, A.FunctionDef):
                 self.add_function_def(item)

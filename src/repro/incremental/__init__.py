@@ -20,14 +20,13 @@ that modularity into an engine:
   runs trade fingerprint-keyed results and unit memos;
 * :mod:`repro.incremental.server` — the ``pylclint --daemon`` batch
   driver answering repeated requests from one warm process.
+
+The re-exported names load on first use (see :mod:`repro._lazy`): a warm
+one-shot check imports the cache and the engine, never the pool, the
+cache service, or asyncio.
 """
 
-from .cache import DEFAULT_CACHE_DIR, ResultCache
-from .cacheserver import CacheClient, CacheServer, CacheServerThread
-from .engine import CheckStats, IncrementalChecker
-from .fingerprint import ENGINE_VERSION
-from .server import DaemonServer
-from .shard import Shard, partition_units
+from .._lazy import lazy_exports
 
 __all__ = [
     "CacheClient",
@@ -42,3 +41,17 @@ __all__ = [
     "Shard",
     "partition_units",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "CacheClient": ".cacheserver",
+    "CacheServer": ".cacheserver",
+    "CacheServerThread": ".cacheserver",
+    "CheckStats": ".engine",
+    "DaemonServer": ".server",
+    "DEFAULT_CACHE_DIR": ".cache",
+    "ENGINE_VERSION": ".fingerprint",
+    "IncrementalChecker": ".engine",
+    "ResultCache": ".cache",
+    "Shard": ".shard",
+    "partition_units": ".shard",
+})

@@ -21,20 +21,27 @@ integration suite asserts message-for-message equality.
 
 from __future__ import annotations
 
+import importlib
 import os
 import pickle
+import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from ..core.api import (
+    ANALYSIS_MODULES,
+    FRONTEND_MODULES,
     CheckResult,
     ParsedUnit,
     UnitCheckOutput,
+    _prelude_parsed,
     build_program_symtab,
     check_parsed_unit,
     ensure_process_initialized,
     failed_parsed_unit,
+    frontend_errors,
     merge_unit_outputs,
+    prelude_parse_pending,
     unit_interface,
 )
 from ..core.faults import (
@@ -44,9 +51,6 @@ from ..core.faults import (
     write_crash_bundle,
 )
 from ..flags.registry import DEFAULT_FLAGS, Flags
-from ..frontend.lexer import LexError
-from ..frontend.parser import ParseError, Parser
-from ..frontend.preprocessor import PreprocessError, Preprocessor
 from ..frontend.source import SourceManager
 from ..frontend.symtab import SymbolTable
 from ..frontend.tokens import Token
@@ -62,13 +66,16 @@ from .fingerprint import (
     check_fingerprint,
     flags_digest,
     interface_digest,
+    memo_variant_key,
     program_digest,
     source_key,
     text_digest,
     unit_digests,
 )
-from .parallel import check_units_parallel
 from .shard import STRATEGIES
+
+#: The pool scheduler; loaded only when a run has misses to fan out.
+_PARALLEL_MODULES = ("repro.incremental.parallel",)
 
 
 @dataclass
@@ -91,6 +98,7 @@ class CheckStats:
     symtab_s: float = 0.0       # program symbol-table build + preseed
     fingerprint_s: float = 0.0  # token/interface digests + fingerprints
     cache_s: float = 0.0        # cache + memo probe/serialize IO
+    load_s: float = 0.0         # first-use import of frontend/analysis
     # Driver-side spans, set by the CLI (outside the engine's total_s):
     prologue_s: float = 0.0     # argument parsing, flag setup, file reads
     render_s: float = 0.0       # message rendering and printing
@@ -143,10 +151,12 @@ class CheckStats:
     #: Ordered phase names of the --profile table and BENCH_frontend.json.
     #: The first four are the classic pipeline phases; the next four are
     #: the named orchestration spans the old "other" bucket decomposed
-    #: into (see docs/internals.md, metric catalogue).
+    #: into; ``load`` is the first-use import of the frontend and the
+    #: analysis, which a run answered from the cache never pays (see
+    #: docs/internals.md, metric catalogue).
     PHASES = (
         "lex", "preprocess", "parse", "analyze",
-        "prelude", "symtab", "fingerprint", "cache",
+        "prelude", "symtab", "fingerprint", "cache", "load",
     )
 
     def phase_timings(self) -> dict[str, float]:
@@ -166,6 +176,7 @@ class CheckStats:
             "symtab": self.symtab_s,
             "fingerprint": self.fingerprint_s,
             "cache": self.cache_s,
+            "load": self.load_s,
         }
         accounted = sum(named.values())
         named["other"] = max(0.0, self.total_s - accounted)
@@ -269,6 +280,8 @@ class IncrementalChecker:
         self.crash_dir = crash_dir
         self.base_symtab: SymbolTable | None = None
         self._library_digests: list[str] = []
+        # Include name -> digest of its current text, for the run in flight.
+        self._include_digests: dict[str, str | None] = {}
         self.stats = CheckStats()
 
     # -- interface libraries -------------------------------------------------
@@ -300,6 +313,7 @@ class IncrementalChecker:
             stats.notes.extend(self.cache.notes)
             del self.cache.notes[:]
         self.stats = stats
+        self._include_digests = {}
 
         batch_span = self.tracer.span("batch", cat="batch")
         try:
@@ -307,17 +321,23 @@ class IncrementalChecker:
             # up as one named span instead of hiding inside the first
             # unit's parse. With a cache directory, the parsed prelude is
             # loaded from (or saved to) a pickled snapshot keyed by the
-            # prelude + frontend-code digest.
+            # prelude + frontend-code digest. A cold prelude parse loads
+            # the frontend first, under its own "load" span, which the
+            # prelude row does not count.
+            loaded_before = stats.load_s
             with self.tracer.span("prelude", cat="phase") as prelude_span:
                 snapshot_dir = (
                     os.path.join(self.cache.root, "prelude")
                     if self.cache is not None
                     else None
                 )
-                stats.notes.extend(
-                    ensure_process_initialized(snapshot_dir=snapshot_dir)
-                )
-            stats.prelude_s += prelude_span.duration
+                stats.notes.extend(ensure_process_initialized(
+                    snapshot_dir=snapshot_dir,
+                    before_parse=lambda: self._load(FRONTEND_MODULES, stats),
+                ))
+            stats.prelude_s += prelude_span.duration - (
+                stats.load_s - loaded_before
+            )
 
             sources = SourceManager()
             for name, text in files.items():
@@ -407,19 +427,28 @@ class IncrementalChecker:
                             stage="frontend",
                         ):
                             self._ensure_parsed(plan, files, sources, stats)
+                parallel = self.jobs > 1 and len(misses) > 1
+                self._load(
+                    ANALYSIS_MODULES + (_PARALLEL_MODULES if parallel else ()),
+                    stats,
+                )
                 check_span = self.tracer.span(
                     "analyze", cat="phase", units=len(misses)
                 )
                 try:
-                    outputs, par_notes = check_units_parallel(
-                        [p.parsed for p in misses], symtab, self.flags,
-                        enum_consts, self.jobs, crash_dir=self.crash_dir,
-                        metrics=metrics,
-                        shard_strategy=self.shard_strategy,
-                        cluster_keys=[p.iface_digest for p in misses],
-                        weights=[max(1, len(p.text)) for p in misses],
-                    )
-                    stats.notes.extend(par_notes)
+                    outputs = None
+                    if parallel:
+                        from .parallel import check_units_parallel
+
+                        outputs, par_notes = check_units_parallel(
+                            [p.parsed for p in misses], symtab, self.flags,
+                            enum_consts, self.jobs, crash_dir=self.crash_dir,
+                            metrics=metrics,
+                            shard_strategy=self.shard_strategy,
+                            cluster_keys=[p.iface_digest for p in misses],
+                            weights=[max(1, len(p.text)) for p in misses],
+                        )
+                        stats.notes.extend(par_notes)
                     if outputs is None:
                         outputs = []
                         for p in misses:
@@ -529,12 +558,8 @@ class IncrementalChecker:
                 with self.tracer.span(
                     "cache", cat="phase", unit=plan.name
                 ) as memo_span:
-                    memo = self.cache.get_unit_memo(key)
+                    memo = self._local_memo(key, files)
                 stats.cache_s += memo_span.duration
-                if memo is not None and not self._includes_unchanged(
-                    memo.includes, files
-                ):
-                    memo = None
             if memo is None and self._remote_alive():
                 # The memo probe is what makes a remote hit cheap: the
                 # result probe needs the token digest, which a memo miss
@@ -568,6 +593,22 @@ class IncrementalChecker:
         self.metrics.inc("cache.memo.miss")
         self._parse_plan(plan, sources, stats, memo_key=key)
 
+    def _load(self, modules: tuple[str, ...], stats: CheckStats) -> None:
+        """Import *modules* on first use under a ``load`` span.
+
+        The frontend and the analysis load only when a unit needs them;
+        loading them here, before the phase span opens, keeps module
+        loading out of the preprocess/parse/analyze rows of --profile
+        and shows it as its own ``load`` row.
+        """
+        missing = [name for name in modules if name not in sys.modules]
+        if not missing:
+            return
+        with self.tracer.span("load", cat="phase") as span:
+            for name in missing:
+                importlib.import_module(name)
+        stats.load_s += span.duration
+
     def _parse_plan(
         self,
         plan: _UnitPlan,
@@ -575,11 +616,18 @@ class IncrementalChecker:
         stats: CheckStats,
         memo_key: str | None = None,
     ) -> None:
+        self._load(FRONTEND_MODULES, stats)
+        if prelude_parse_pending():
+            # The snapshot's pickled prelude parse is first needed here;
+            # unpickling it is prelude work, not this unit's parse.
+            with self.tracer.span("prelude", cat="phase") as prelude_span:
+                _prelude_parsed()
+            stats.prelude_s += prelude_span.duration
         try:
             tokens, included = self._preprocess(
                 plan.name, plan.text, sources, stats
             )
-        except (LexError, PreprocessError, ParseError) as exc:
+        except frontend_errors() as exc:
             self._fail_plan(plan, frontend_fatal(exc, plan.name))
             return
         except Exception as exc:
@@ -641,6 +689,9 @@ class IncrementalChecker:
                 )
                 if self.cache is not None:
                     self.cache.put_unit_memo(memo_key, memo)
+                    self.cache.put_unit_memo(
+                        memo_variant_key(memo_key, closure), memo
+                    )
                 if self._remote_alive():
                     self.remote.put_memo(memo_key, memo)
             stats.cache_s += memo_span.duration
@@ -662,6 +713,8 @@ class IncrementalChecker:
         sources: SourceManager,
         stats: CheckStats,
     ) -> tuple[list[Token], set[str]]:
+        from ..frontend.preprocessor import Preprocessor
+
         with self.tracer.span("preprocess", cat="phase", unit=name) as sp:
             pp = Preprocessor(
                 sources, defines=dict(self.defines),
@@ -680,7 +733,7 @@ class IncrementalChecker:
         return tokens, set(pp._included)
 
     def _parse_tokens(self, tokens: list[Token], name: str) -> ParsedUnit:
-        from ..core.api import _prelude_parsed
+        from ..frontend.parser import Parser
 
         _, prelude_scope = _prelude_parsed()
         parser = Parser(
@@ -717,14 +770,48 @@ class IncrementalChecker:
         plan.enum_consts = dict(enum_consts)
         return interface
 
+    def _local_memo(self, key: str, files: dict[str, str]) -> UnitMemo | None:
+        """The local memo for source key *key* whose include closure still
+        matches *files*, or ``None``.
+
+        The base entry holds the closure of the unit's last parse. When a
+        header has changed since, the variant entry keyed by the current
+        contents of that same closure may hold the memo of an earlier
+        parse (a header edited and then reverted); it is used only if its
+        own recorded closure matches too, so a stale memo never hits.
+        """
+        memo = self.cache.get_unit_memo(key)
+        if memo is None or self._includes_unchanged(memo.includes, files):
+            return memo
+        current = []
+        for name, _ in memo.includes:
+            digest = self._include_digest(name, files)
+            if digest is None:
+                return None
+            current.append((name, digest))
+        variant = self.cache.get_unit_memo(memo_variant_key(key, current))
+        if variant is not None and self._includes_unchanged(
+            variant.includes, files
+        ):
+            return variant
+        return None
+
     def _includes_unchanged(
         self, closure: list[tuple[str, str]], files: dict[str, str]
     ) -> bool:
-        for name, recorded_sha in closure:
+        return all(
+            self._include_digest(name, files) == recorded_sha
+            for name, recorded_sha in closure
+        )
+
+    def _include_digest(self, name: str, files: dict[str, str]) -> str | None:
+        """Digest of an include's current text (``None`` if unreadable),
+        computed once per run however many units include it."""
+        digests = self._include_digests
+        if name not in digests:
             current = self._current_include_text(name, files)
-            if current is None or text_digest(current) != recorded_sha:
-                return False
-        return True
+            digests[name] = None if current is None else text_digest(current)
+        return digests[name]
 
     def _current_include_text(
         self, name: str, files: dict[str, str]

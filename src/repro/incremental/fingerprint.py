@@ -264,6 +264,17 @@ def source_key(name: str, text: str, defines: dict[str, str]) -> str:
     return _sha("unit", name, text, defines_digest(defines))
 
 
+def memo_variant_key(key: str, closure: list[tuple[str, str]]) -> str:
+    """Key of the memo variant for source key *key* under one version of
+    its include closure: every ``(include name, content digest)`` pair.
+
+    The base memo under *key* remembers only the last closure seen; the
+    variant keeps each version reachable, so a header that goes back to
+    an earlier version finds that version's memo instead of reparsing.
+    """
+    return _sha("variant", key, *(f"{n}\x00{d}" for n, d in closure))
+
+
 def program_digest(
     interface_digests: list[str], library_digests: list[str]
 ) -> str:

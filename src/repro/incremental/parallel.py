@@ -41,6 +41,9 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
+# Imported here, not on first use: forked workers inherit the loaded
+# analysis instead of each importing it again inside its first task.
+from ..analysis import checker as _checker  # noqa: F401
 from ..core.api import (
     ParsedUnit,
     UnitCheckOutput,

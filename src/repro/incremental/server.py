@@ -37,7 +37,6 @@ import json
 import sys
 from dataclasses import dataclass, field
 
-from ..core.api import ensure_process_initialized
 from ..obs.metrics import GLOBAL_METRICS
 from ..service.protocol import (
     MAX_REQUEST_BYTES,
@@ -48,6 +47,7 @@ from ..service.protocol import (
     oversized_reply,
     parse_request_line,
     recover_request_id,
+    warm_process,
 )
 from .cache import DEFAULT_CACHE_DIR, ResultCache
 
@@ -91,7 +91,7 @@ class DaemonServer:
 
     def serve(self) -> int:
         """Answer requests until ``shutdown`` or EOF; returns 0."""
-        ensure_process_initialized()  # pay the prelude parse once, up front
+        warm_process(self.jobs)  # pay the prelude parse and imports up front
         self._send({"ready": True, "jobs": self.jobs,
                     "cache": self.cache.root if self.cache else None})
         for line in self.stdin:

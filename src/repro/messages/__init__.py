@@ -1,7 +1,16 @@
-"""Messages, reporting, and stylized-comment suppression."""
+"""Messages, reporting, and stylized-comment suppression.
 
-from .message import Message, MessageCode, SubLocation
-from .reporter import Reporter
-from .suppress import SuppressionTable
+The re-exported names load on first use (see :mod:`repro._lazy`).
+"""
+
+from .._lazy import lazy_exports
 
 __all__ = ["Message", "MessageCode", "SubLocation", "Reporter", "SuppressionTable"]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "Message": ".message",
+    "MessageCode": ".message",
+    "SubLocation": ".message",
+    "Reporter": ".reporter",
+    "SuppressionTable": ".suppress",
+})

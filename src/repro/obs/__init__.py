@@ -12,12 +12,11 @@ Two zero-dependency primitives (see docs/internals.md section 8):
   fixed-bucket latency histograms. :data:`GLOBAL_METRICS` is the shared
   process-lifetime registry: the daemon's ``metrics`` verb and the
   ``--metrics-out`` dump both read it.
+
+The re-exported names load on first use (see :mod:`repro._lazy`).
 """
 
-from .context import Observability
-from .export import ChromeTraceSink, JsonLinesSink, MemorySink
-from .metrics import GLOBAL_METRICS, MetricsRegistry
-from .trace import NULL_TRACER, NullTracer, Tracer
+from .._lazy import lazy_exports
 
 __all__ = [
     "ChromeTraceSink",
@@ -30,3 +29,15 @@ __all__ = [
     "Observability",
     "Tracer",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "ChromeTraceSink": ".export",
+    "GLOBAL_METRICS": ".metrics",
+    "JsonLinesSink": ".export",
+    "MemorySink": ".export",
+    "MetricsRegistry": ".metrics",
+    "NULL_TRACER": ".trace",
+    "NullTracer": ".trace",
+    "Observability": ".context",
+    "Tracer": ".trace",
+})

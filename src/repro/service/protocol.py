@@ -39,6 +39,7 @@ internal).
 
 from __future__ import annotations
 
+import importlib
 import json
 import re
 import shlex
@@ -240,6 +241,27 @@ def stats_payload(stats) -> dict:
         "check_ms": round(stats.check_s * 1000, 3),
         "total_ms": round(stats.total_s * 1000, 3),
     }
+
+
+def warm_process(jobs: int) -> None:
+    """Pay every one-time cost of a long-lived server before its first
+    request: the prelude parse, and the import of the modules a request
+    that misses the cache uses (the frontend, the analysis, the engine,
+    and the pool scheduler when *jobs* > 1). A one-shot check loads
+    them on first use instead; see :mod:`repro._lazy`."""
+    from ..core.api import (
+        ANALYSIS_MODULES,
+        FRONTEND_MODULES,
+        ensure_process_initialized,
+    )
+    from ..driver import cli  # noqa: F401
+    from ..incremental import engine  # noqa: F401
+
+    ensure_process_initialized()
+    for name in FRONTEND_MODULES + ANALYSIS_MODULES:
+        importlib.import_module(name)
+    if jobs > 1:
+        from ..incremental import parallel  # noqa: F401
 
 
 def execute_check(request: Request, request_id, cache, jobs: int) -> dict:

@@ -45,7 +45,6 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from ..core.api import ensure_process_initialized
 from ..core.faults import CancelScope, RequestCancelled, cancel_scope
 from ..incremental.cache import DEFAULT_CACHE_DIR, ResultCache
 from ..obs.metrics import GLOBAL_METRICS
@@ -60,6 +59,7 @@ from .protocol import (
     oversized_reply,
     parse_request_line,
     recover_request_id,
+    warm_process,
 )
 
 #: Default bound on admitted (queued + running) requests.
@@ -281,7 +281,7 @@ class CheckingService:
         self._pool = ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="pylclint-check"
         )
-        await loop.run_in_executor(self._pool, ensure_process_initialized)
+        await loop.run_in_executor(self._pool, warm_process, self.jobs)
         if self.port is not None:
             server = await asyncio.start_server(
                 self._handle_connection, host=self.host, port=self.port

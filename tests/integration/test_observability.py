@@ -157,13 +157,20 @@ class TestDaemonMetricsVerb:
 
 class TestDroppedEntrySurfacing:
     def test_corrupt_memo_becomes_a_run_note(self, tmp_path):
+        from repro.incremental.fingerprint import source_key
+
         files = db_sources(1)
         root = str(tmp_path / "cache")
-        IncrementalChecker(cache=ResultCache(root)).check_sources(dict(files))
-        units_dir = os.path.join(root, "units")
-        victims = os.listdir(units_dir)
-        assert victims
-        with open(os.path.join(units_dir, victims[0]), "wb") as handle:
+        first = IncrementalChecker(cache=ResultCache(root))
+        first.check_sources(dict(files))
+        # The base memo of one unit: the units directory also holds memo
+        # variants, which a run whose headers are unchanged never reads.
+        name = sorted(n for n in files if n.endswith(".c"))[0]
+        victim = os.path.join(
+            root, "units", source_key(name, files[name], first.defines) + ".pkl"
+        )
+        assert os.path.exists(victim)
+        with open(victim, "wb") as handle:
             handle.write(b"\x00 corrupt")
         engine = IncrementalChecker(cache=ResultCache(root))
         engine.check_sources(dict(files))
