@@ -54,10 +54,10 @@ from repro.frontend.source import SourceFile, SourceManager
 from repro.frontend.symtab import SymbolTable
 from repro.incremental import IncrementalChecker, ResultCache
 from repro.incremental.cache import UnitMemo
+from repro.incremental.entries import interface_digest_v1
 from repro.incremental.fingerprint import (
     check_fingerprint,
     flags_digest,
-    interface_digest,
     program_digest,
     source_key,
     text_digest,
@@ -278,7 +278,7 @@ def _legacy_cold_once(files: dict[str, str], cache_root: str) -> float:
             )
             iface = unit_interface(pu)
             iface_pickle = pickle.dumps((iface, pu.enum_consts))
-            iface_digest = interface_digest(iface, pu.enum_consts)
+            iface_digest = interface_digest_v1(iface, pu.enum_consts)
             closure = []
             for included in sorted(pp._included):
                 src = sources.get(included)

@@ -1,9 +1,13 @@
-"""BENCH-INC: cold vs warm incremental checking, and parallel parity.
+"""BENCH-INC: cold vs warm incremental checking, edits, and parallel parity.
 
 Measures the acceptance properties of the incremental engine on the
 section 6 employee-database program: a warm re-check of an unchanged
-program must be at least 5x faster than a cold check, and ``--jobs N``
-must produce byte-identical messages to a serial run.
+program must be at least 5x faster than a cold check, ``--jobs N``
+must produce byte-identical messages to a serial run, and after an
+edit only the units it affects are re-checked. A body edit re-checks
+its own unit; an interface edit that adds a ``static`` helper to one
+unit must re-check exactly that unit, every other unit being answered
+by its dependency-validated result slot.
 
 Runs two ways:
 
@@ -70,6 +74,62 @@ def measure_cold_vs_warm(files, rounds: int = 3) -> dict:
     }
 
 
+EDITED_UNIT = "eref.c"
+
+
+def body_edit(files):
+    """A statement added to the first function body of EDITED_UNIT, on
+    the line of its opening brace, so no declaration moves."""
+    lines = files[EDITED_UNIT].split("\n")
+    brace = lines.index("{")
+    lines[brace] = "{ int bench_edit = 1; (void) bench_edit;"
+    return {**files, EDITED_UNIT: "\n".join(lines)}
+
+
+def interface_edit(files):
+    """A ``static`` helper appended to EDITED_UNIT: its interface
+    changes, so the program digest and every unit's exact key do too."""
+    helper = "static int bench_helper(int x) { return x + 1; }\n"
+    return {**files, EDITED_UNIT: files[EDITED_UNIT] + helper}
+
+
+def measure_edits(files, rounds: int = 3) -> dict:
+    """Time a re-check after a body edit and after an interface edit,
+    each on a cache warmed by the unedited program. Each edit must
+    re-check exactly EDITED_UNIT and render like a cold check."""
+    times = {"body": [], "interface": []}
+    exact = True
+    for _ in range(rounds):
+        for kind, edit in (("body", body_edit), ("interface", interface_edit)):
+            edited = edit(files)
+            with tempfile.TemporaryDirectory(prefix="pylclint-bench-") as root:
+                IncrementalChecker(cache=ResultCache(root)).check_sources(
+                    dict(files)
+                )
+                engine = IncrementalChecker(cache=ResultCache(root))
+                t0 = time.perf_counter()
+                result = engine.check_sources(dict(edited))
+                times[kind].append(time.perf_counter() - t0)
+            stats = engine.stats
+            cold = Checker().check_sources(dict(edited))
+            exact = exact and (
+                stats.cache_misses == 1
+                and stats.cache_hits == stats.units - 1
+                and _renders(result) == _renders(cold)
+            )
+            if kind == "interface":
+                exact = exact and stats.dep_hits == stats.units - 1
+    return {
+        "edited_unit": EDITED_UNIT,
+        "body_edit_ms": round(statistics.median(times["body"]) * 1000, 2),
+        "interface_edit_ms": round(
+            statistics.median(times["interface"]) * 1000, 2
+        ),
+        "only_edited_unit_rechecked": exact,
+        "rounds": rounds,
+    }
+
+
 def measure_parallel_parity(files, jobs: int = 4) -> dict:
     """Check the same sources serially and with a worker pool; the
     rendered messages must match exactly (same order, same text)."""
@@ -99,6 +159,16 @@ def test_warm_recheck_speedup(benchmark, table_printer):
     assert summary["speedup"] >= REQUIRED_SPEEDUP, summary
 
 
+def test_edits_recheck_only_the_edited_unit(benchmark, table_printer):
+    files = db_sources()
+    summary = benchmark.pedantic(
+        measure_edits, args=(files,), rounds=1, iterations=1
+    )
+    table_printer("BENCH-INC: body vs interface edit on examples/db",
+                  [summary])
+    assert summary["only_edited_unit_rechecked"], summary
+
+
 def test_parallel_jobs_parity(benchmark, table_printer):
     files = db_sources(1)  # stage with a healthy message population
     summary = benchmark.pedantic(
@@ -116,20 +186,26 @@ def main(argv=None) -> int:
     report = {
         "benchmark": "incremental cold vs warm (examples/db, final stage)",
         "cold_vs_warm": measure_cold_vs_warm(files),
+        "edits": measure_edits(files),
         "parallel": measure_parallel_parity(db_sources(1)),
     }
     with open(out_path, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2)
         handle.write("\n")
     summary = report["cold_vs_warm"]
+    edits = report["edits"]
     print(
         f"cold {summary['cold_ms']}ms -> warm {summary['warm_ms']}ms "
         f"({summary['speedup']}x, required {REQUIRED_SPEEDUP}x); "
+        f"body edit {edits['body_edit_ms']}ms, interface edit "
+        f"{edits['interface_edit_ms']}ms (only {edits['edited_unit']} "
+        f"re-checked: {edits['only_edited_unit_rechecked']}); "
         f"wrote {out_path}"
     )
     ok = (
         summary["speedup"] >= REQUIRED_SPEEDUP
         and summary["identical_output"]
+        and edits["only_edited_unit_rechecked"]
         and report["parallel"]["identical_to_serial"]
     )
     return 0 if ok else 1

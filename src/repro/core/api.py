@@ -350,6 +350,13 @@ class UnitCheckOutput:
     suppressed: int = 0
     degraded: bool = False
     internal_errors: int = 0
+    #: Every name the check looked up in the merged interface, misses
+    #: included, sorted: ``"f:<name>"`` through ``symtab.function``,
+    #: ``"g:<name>"`` through ``symtab.global_var``, ``"e:<name>"`` in
+    #: the enum constants. The result depends on nothing else outside
+    #: the unit, which is what lets the engine reuse it when only
+    #: entries it never read changed.
+    reads: tuple[str, ...] | None = None
 
 
 def unit_interface(pu: "ParsedUnit") -> SymbolTable:
@@ -401,7 +408,9 @@ def check_parsed_unit(
     cacheable and lets pool workers check units independently. The
     *tracer* is measurement only — it never changes the output — and
     per-function spans are emitted only when a trace sink is attached
-    (``tracer.emitting``), so the default path stays free.
+    (``tracer.emitting``), so the default path stays free. The analysis
+    sees *symtab* and *enum_consts* only through recording views, and
+    the output's ``reads`` lists every name it looked up.
 
     Analysis faults are contained per function: an unexpected exception
     while checking one function becomes an ``internal-error`` message
@@ -411,6 +420,7 @@ def check_parsed_unit(
     from ..analysis.checker import CheckContext, FunctionChecker
     from ..messages.reporter import Reporter
     from ..messages.suppress import SuppressionTable
+    from .reads import RecordingEnums, RecordingSymtab
 
     reporter = Reporter(flags=flags)
     degraded = pu.degraded
@@ -439,9 +449,10 @@ def check_parsed_unit(
             f"Parse error: {error.args[0].split(': ', 1)[-1]} "
             f"(skipped to the next declaration)",
         )
+    reads: set[str] = set()
     ctx = CheckContext(
-        symtab=symtab, reporter=reporter, flags=flags,
-        enum_consts=dict(enum_consts or {}),
+        symtab=RecordingSymtab(symtab, reads), reporter=reporter,
+        flags=flags, enum_consts=RecordingEnums(enum_consts or {}, reads),
     )
     for fdef in pu.unit.functions():
         try:
@@ -477,6 +488,7 @@ def check_parsed_unit(
         suppressed=reporter.suppressed_count,
         degraded=degraded,
         internal_errors=internal_errors,
+        reads=tuple(sorted(reads)),
     )
 
 

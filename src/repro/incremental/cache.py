@@ -9,7 +9,10 @@ Layout::
                                 digest + pickled interface slice, include
                                 closure, enum constants
     <root>/results/<fp>.json    per-unit check result: serialized messages
-                                and the suppressed-message count
+                                and the suppressed-message count; a
+                                result *slot* (keyed without the program
+                                digest) also holds the names its check
+                                read and a digest of their values
     <root>/results/journal.jsonl
                                 append-only result journal: recent check
                                 results land here first, one JSON object
@@ -241,7 +244,11 @@ class ResultCache:
 
     @staticmethod
     def _decode_result(payload) -> tuple[list[Message], int] | None:
-        """Parse a result payload dict; ``None`` when malformed."""
+        """Parse a result payload dict; ``None`` when malformed.
+
+        A slot payload (see :meth:`put_slot`) is a result payload plus
+        its ``reads`` and ``deps``; those must be well-formed too.
+        """
         if not isinstance(payload, dict):
             return None
         try:
@@ -249,10 +256,19 @@ class ResultCache:
             suppressed = int(payload["suppressed"])
         except (KeyError, TypeError, ValueError):
             return None
+        if "reads" in payload or "deps" in payload:
+            reads = payload.get("reads")
+            if (
+                not isinstance(reads, list)
+                or not all(isinstance(read, str) for read in reads)
+                or not isinstance(payload.get("deps"), str)
+            ):
+                return None
         return messages, suppressed
 
-    def get_result(self, fingerprint: str):
-        """Return ``(messages, suppressed)`` or ``None`` on a miss.
+    def _read_entry(self, fingerprint: str):
+        """``(payload, (messages, suppressed))`` stored under
+        *fingerprint*, or ``None`` on a miss.
 
         Journal entries (and results buffered in an open batch) shadow
         per-fingerprint files: they are strictly newer.
@@ -263,7 +279,7 @@ class ResultCache:
         if payload is not None:
             decoded = self._decode_result(payload)
             if decoded is not None:
-                return decoded
+                return payload, decoded
             # A garbled overlay entry (corrupt journal line that still
             # parsed as JSON) is dropped like a corrupt file would be.
             self._journal.pop(fingerprint, None)
@@ -278,7 +294,21 @@ class ResultCache:
         if decoded is None:
             self._discard(path)
             return None
-        return decoded
+        return payload, decoded
+
+    def get_result(self, fingerprint: str):
+        """Return ``(messages, suppressed)`` or ``None`` on a miss."""
+        entry = self._read_entry(fingerprint)
+        return None if entry is None else entry[1]
+
+    def get_slot(self, key: str):
+        """Return ``(messages, suppressed, reads, deps)`` stored by
+        :meth:`put_slot`, or ``None`` on a miss."""
+        entry = self._read_entry(key)
+        if entry is None or "deps" not in entry[0]:
+            return None
+        payload, (messages, suppressed) = entry
+        return messages, suppressed, tuple(payload["reads"]), payload["deps"]
 
     def put_result(
         self, fingerprint: str, messages: list[Message], suppressed: int
@@ -290,10 +320,31 @@ class ResultCache:
         immediate (atomic) per-fingerprint file write, preserving the
         one-shot behaviour.
         """
-        payload = {
+        self._put(fingerprint, {
             "messages": [m.to_dict() for m in messages],
             "suppressed": suppressed,
-        }
+        })
+
+    def put_slot(
+        self,
+        key: str,
+        messages: list[Message],
+        suppressed: int,
+        reads: tuple[str, ...],
+        deps: str,
+    ) -> None:
+        """Store a unit's result slot: a check result together with the
+        names the check read from the merged symbol table and one digest
+        of their values (see ``entries.EntryDigests``). Slots share
+        the result journal and files; only the engine reads them."""
+        self._put(key, {
+            "messages": [m.to_dict() for m in messages],
+            "suppressed": suppressed,
+            "reads": list(reads),
+            "deps": deps,
+        })
+
+    def _put(self, fingerprint: str, payload: dict) -> None:
         if self._batch_depth > 0:
             # Validate the key eagerly so a bad fingerprint fails at the
             # call site, not at flush time.

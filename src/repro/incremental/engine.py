@@ -7,11 +7,17 @@ This engine makes re-checking cheap, the property the paper leans on
 
 * **warm units skip everything** — a unit whose raw text, includes,
   flags, and program interface are unchanged is answered straight from
-  the result cache without preprocessing, parsing, or checking;
-* **interface-sensitive invalidation** — editing a function body
-  re-checks only that unit; editing an exported interface (a header, an
-  annotation on a signature) changes the program digest and re-checks
-  every unit, exactly the modular contract of paper section 7;
+  the result cache (one read under its exact key) without
+  preprocessing, parsing, or checking;
+* **dependency-validated reuse** — a unit is checked only against the
+  interfaces of what it uses (paper sections 2 and 7), so its result
+  depends only on the merged symbol-table entries its analysis reads.
+  When an interface edit changes the program digest, each unit's result
+  *slot* records those names and a digest of their values; a unit whose
+  read entries are unchanged is a hit and is re-stamped under the new
+  exact key. An edit re-checks the units whose tokens changed and the
+  units that read a changed entry — reordering the units on the command
+  line re-checks none of them unless the order changes a merged entry;
 * **parallel misses** — units that do need checking fan out over a
   process pool (``jobs > 1``), with results identical to serial order.
 
@@ -68,6 +74,7 @@ from .fingerprint import (
     interface_digest,
     memo_variant_key,
     program_digest,
+    slot_key,
     source_key,
     text_digest,
     unit_digests,
@@ -105,6 +112,9 @@ class CheckStats:
     total_s: float = 0.0
     cache_hits: int = 0
     cache_misses: int = 0
+    # The share of cache_hits answered by a result slot whose read
+    # entries were unchanged (the exact key had missed).
+    dep_hits: int = 0
     memo_hits: int = 0
     memo_misses: int = 0
     jobs: int = 1
@@ -127,7 +137,7 @@ class CheckStats:
         lines.append(f"  total:             {self.total_s * 1000:.1f} ms")
         lines.append(
             f"  result cache:      {self.cache_hits} hit(s), "
-            f"{self.cache_misses} miss(es)"
+            f"{self.cache_misses} miss(es)" + self._dep_note()
         )
         lines.append(
             f"  unit memo:         {self.memo_hits} hit(s), "
@@ -147,6 +157,13 @@ class CheckStats:
                 f"internal error(s))"
             )
         return "\n".join(lines)
+
+    def _dep_note(self) -> str:
+        """How many warm units came by dependency check; empty when none
+        did, so runs without such hits print their historical lines."""
+        if not self.dep_hits:
+            return ""
+        return f", {self.dep_hits} by dependency check"
 
     #: Ordered phase names of the --profile table and BENCH_frontend.json.
     #: The first four are the classic pipeline phases; the next four are
@@ -204,7 +221,7 @@ class CheckStats:
             )
         lines.append(
             f"  units:       {self.units} "
-            f"({cold} cold, {warm} warm from result cache)"
+            f"({cold} cold, {warm} warm from result cache{self._dep_note()})"
         )
         lines.append(
             f"  unit memo:   {self.memo_hits} hit(s), "
@@ -226,7 +243,8 @@ class _UnitPlan:
     token_digest: str = ""
     iface_digest: str = ""
     enum_consts: dict[str, int] = field(default_factory=dict)
-    fingerprint: str = ""
+    fingerprint: str = ""       # the exact result key
+    slot: str = ""              # the result slot key, set on an exact miss
     cached: tuple | None = None  # (messages, suppressed) on a result hit
     output: UnitCheckOutput | None = None
 
@@ -368,10 +386,23 @@ class IncrementalChecker:
             for plan in plans:
                 enum_consts.update(plan.enum_consts)
 
-            # Phase 3: result-cache lookups. The flags digest is shared
-            # by every unit's fingerprint, so it is computed once here.
+            # Phase 3: build the merged symbol table from interface
+            # slices; result slots are validated against it.
+            with self.tracer.span("symtab", cat="phase") as symtab_span:
+                symtab = build_program_symtab(
+                    [self._interface_of(p) for p in plans], self.base_symtab
+                )
+            stats.symtab_s += symtab_span.duration
+
+            # Phase 4: result-cache lookups. The exact key comes first:
+            # an unchanged program is one read per unit. On a miss, the
+            # unit's slot answers if every entry its last check read
+            # still has the same merged value. The flags digest is
+            # shared by every unit's keys, so it is computed once here.
             flags_fp = flags_digest(self.flags)
+            entries = None  # entry digests; made at the first exact miss
             misses: list[_UnitPlan] = []
+            restamps: list[_UnitPlan] = []
             with self.tracer.span("cache", cat="phase") as probe_span:
                 for plan in plans:
                     if self.cache is not None or self.remote is not None:
@@ -398,6 +429,25 @@ class IncrementalChecker:
                                 )
                         else:
                             stats.remote_misses += 1
+                    if plan.cached is None and self.cache is not None:
+                        if entries is None:
+                            from .entries import EntryDigests
+
+                            entries = EntryDigests(symtab, enum_consts)
+                        plan.slot = slot_key(
+                            plan.token_digest, flags_fp, self._library_digests
+                        )
+                        slot = self.cache.get_slot(plan.slot)
+                        if slot is not None and (
+                            entries.digest(slot[2]) == slot[3]
+                        ):
+                            plan.cached = slot[:2]
+                            restamps.append(plan)
+                        if plan.cached is None:
+                            metrics.inc("cache.result.dep_miss")
+                        else:
+                            stats.dep_hits += 1
+                            metrics.inc("cache.result.dep_hit")
                     if plan.cached is not None:
                         stats.cache_hits += 1
                         metrics.inc("cache.result.hit")
@@ -410,14 +460,8 @@ class IncrementalChecker:
                         misses.append(plan)
             stats.cache_s += probe_span.duration
 
-            # Phase 4: build the merged symbol table from interface slices.
-            with self.tracer.span("symtab", cat="phase") as symtab_span:
-                symtab = build_program_symtab(
-                    [self._interface_of(p) for p in plans], self.base_symtab
-                )
-            stats.symtab_s += symtab_span.duration
-
             # Phase 5: check the misses (parallel when asked and possible).
+            outputs: list[UnitCheckOutput] = []
             if misses:
                 for plan in misses:
                     cancel_checkpoint()
@@ -471,27 +515,15 @@ class IncrementalChecker:
                 finally:
                     check_span.end()
                 stats.check_s += check_span.duration
+            for plan, output in zip(misses, outputs):
+                plan.output = output
+            if restamps or misses:
                 with self.tracer.span("cache", cat="phase") as write_span:
                     # One journal append for the whole batch instead of
                     # one file write per unit (see cache.batch()).
                     with self.cache.batch() if self.cache is not None \
                             else nullcontext():
-                        for plan, output in zip(misses, outputs):
-                            plan.output = output
-                            # Degraded results (parse recovery, skipped
-                            # files, contained crashes) are never cached:
-                            # the unit must be re-checked from scratch on
-                            # every run until it is fixed.
-                            if self.cache is not None and not output.degraded:
-                                self.cache.put_result(
-                                    plan.fingerprint, output.messages,
-                                    output.suppressed
-                                )
-                            if not output.degraded and self._remote_alive():
-                                self.remote.put_result(
-                                    plan.fingerprint, output.messages,
-                                    output.suppressed
-                                )
+                        self._store_results(restamps, misses, entries)
                 stats.cache_s += write_span.duration
 
             messages, suppressed = merge_unit_outputs(
@@ -536,6 +568,40 @@ class IncrementalChecker:
         return self.remote is not None and not getattr(
             self.remote, "dead", False
         )
+
+    def _store_results(
+        self,
+        restamps: list[_UnitPlan],
+        misses: list[_UnitPlan],
+        entries,
+    ) -> None:
+        """Write this run's results: a slot hit under its exact key, so
+        the next run of the same program is one read; a checked unit
+        under its exact key and its slot, with the digest *entries* gives
+        the names it read (``None`` only without a local cache, when
+        there are no slots). Degraded results (parse recovery, skipped files,
+        contained crashes) are never cached under either key: the unit
+        must be re-checked from scratch on every run until it is fixed."""
+        cache = self.cache
+        for plan in restamps:
+            cache.put_result(plan.fingerprint, *plan.cached)
+        for plan in misses:
+            output = plan.output
+            if output.degraded:
+                continue
+            if cache is not None:
+                cache.put_result(
+                    plan.fingerprint, output.messages, output.suppressed
+                )
+                if output.reads is not None:
+                    cache.put_slot(
+                        plan.slot, output.messages, output.suppressed,
+                        output.reads, entries.digest(output.reads),
+                    )
+            if self._remote_alive():
+                self.remote.put_result(
+                    plan.fingerprint, output.messages, output.suppressed
+                )
 
     # -- unit identification -------------------------------------------------
 

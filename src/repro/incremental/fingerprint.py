@@ -1,17 +1,28 @@
 """Fingerprints for incremental checking.
 
 The unit of caching is one translation unit checked against one program
-interface. Its fingerprint combines everything the per-unit check result
-can depend on (the paper's modular-checking contract: a function body is
-checked only against interface information):
+interface. A unit's result can depend only on (the paper's modular-
+checking contract: a function body is checked only against interface
+information):
 
 * the unit's **preprocessed token stream** (kind, spelling, and location
   of every token — locations matter because messages carry them),
 * the active :class:`~repro.flags.registry.Flags` configuration,
-* the **stdlib prelude** version (its text, defines, and system headers),
-* the merged **program interface digest** — per-unit interface slices
-  plus any loaded interface libraries,
+* the **stdlib prelude** version (its text, defines, and system headers)
+  and any loaded interface libraries,
+* the merged symbol-table **entries its analysis reads** — the
+  signatures, globals and enum constants it looks up by name,
 * the engine version, bumped whenever checker semantics change.
+
+Results are keyed two ways. The *exact key* (:func:`check_fingerprint`)
+folds in the **program digest** over every unit's interface digest, so
+an unchanged program is one read per unit. The *slot key*
+(:func:`slot_key`) leaves the program digest out: it holds the last
+result for a token stream together with the names its check read and
+one digest of those entries' merged values (see :mod:`.entries`).
+When the exact key misses after an interface edit, a slot whose read
+entries still digest the same is a hit — so an edit re-checks only the
+units that read a changed entry.
 
 Two helper layers make warm runs cheap: a *source key* over the raw
 unit text and command-line defines memoizes the token digest so an
@@ -21,8 +32,6 @@ let the program digest be recomputed without reparsing unchanged units.
 
 from __future__ import annotations
 
-import dataclasses
-import enum
 import hashlib
 
 from ..flags.registry import FLAG_REGISTRY, Flags
@@ -34,7 +43,9 @@ from ..stdlib.specs import PRELUDE_DEFINES, PRELUDE_TEXT, SYSTEM_HEADERS
 #: v2: per-unit interface digests moved from the reflective object-graph
 #: walk to the token-based digest (same invalidation contract, ~20x
 #: cheaper); old caches self-wipe with a visible rebuild note.
-ENGINE_VERSION = 2
+#: v3: dependency-validated result slots (:func:`slot_key`) next to the
+#: exact keys; failed units' interface digests use the entry digests.
+ENGINE_VERSION = 3
 
 
 def _sha(*parts: str) -> str:
@@ -304,65 +315,26 @@ def check_fingerprint(
     return _sha("check", token_digest, flags_fp, prog_digest)
 
 
-# -- interface digests --------------------------------------------------------
-#
-# The interface slice of a unit (FunctionSignature / GlobalVariable values)
-# contains dataclasses, enums, frozensets, and *cyclic* struct types
-# (``struct _elem { struct _elem *next; }``), so the digest walks the object
-# graph into a canonical form: fields in declaration order, sets sorted,
-# cycles cut at their first revisit. Pickle bytes are NOT a usable digest —
-# frozenset iteration order varies with string-hash randomization across
-# processes, which would make every run look cold.
+def slot_key(
+    token_digest: str, flags_fp: str, library_digests: list[str]
+) -> str:
+    """The key of a unit's dependency-validated result slot.
 
-
-def _stable(obj, on_stack: set[int]) -> object:
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
-    if isinstance(obj, enum.Enum):
-        return ("enum", type(obj).__name__, obj.name)
-    oid = id(obj)
-    if oid in on_stack:
-        return ("cycle", type(obj).__name__, getattr(obj, "tag", None))
-    on_stack.add(oid)
-    try:
-        if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-            return (
-                type(obj).__name__,
-                tuple(
-                    (f.name, _stable(getattr(obj, f.name), on_stack))
-                    for f in dataclasses.fields(obj)
-                ),
-            )
-        if isinstance(obj, dict):
-            items = [
-                (_stable(k, on_stack), _stable(v, on_stack))
-                for k, v in obj.items()
-            ]
-            return ("dict", tuple(sorted(items, key=repr)))
-        if isinstance(obj, (set, frozenset)):
-            return ("set", tuple(sorted(repr(_stable(v, on_stack)) for v in obj)))
-        if isinstance(obj, (list, tuple)):
-            return ("seq", tuple(_stable(v, on_stack) for v in obj))
-        # Non-dataclass helper objects (e.g. plain classes with __dict__).
-        state = getattr(obj, "__dict__", None)
-        if state is not None:
-            return (type(obj).__name__, _stable(state, on_stack))
-        return ("repr", repr(obj))
-    finally:
-        on_stack.discard(oid)
-
-
-def stable_digest(obj) -> str:
-    """Content digest of an arbitrary (possibly cyclic) object graph."""
-    return _sha(repr(_stable(obj, set())))
+    Everything :func:`check_fingerprint` covers except the program
+    digest: the slot holds the last result for this token stream under
+    these flags, prelude and libraries, plus what that check read from
+    the merged symbol table (see :class:`.entries.EntryDigests`).
+    """
+    return _sha(
+        "slot", token_digest, flags_fp, prelude_digest(), "libraries",
+        *library_digests,
+    )
 
 
 def interface_digest(symtab, enum_consts: dict[str, int]) -> str:
-    """Digest of one unit's exported interface slice."""
-    return stable_digest(
-        {
-            "functions": symtab.functions,
-            "globals": symtab.globals,
-            "enum_consts": enum_consts,
-        }
-    )
+    """Digest of one unit's exported interface slice, from the entry
+    digests of :mod:`.entries` (the token-based digest covers parsed
+    units; this one covers a unit the frontend gave up on)."""
+    from .entries import interface_entries_digest
+
+    return interface_entries_digest(symtab, enum_consts)

@@ -232,6 +232,7 @@ def stats_payload(stats) -> dict:
     return {
         "cache_hits": stats.cache_hits,
         "cache_misses": stats.cache_misses,
+        "dep_hits": stats.dep_hits,
         "memo_hits": stats.memo_hits,
         "memo_misses": stats.memo_misses,
         "degraded_units": stats.degraded_units,

@@ -29,6 +29,55 @@ def _renders(result):
     return [m.render() for m in result.messages]
 
 
+def _units_with_tokens_from(files, header):
+    """Sorted names of the units whose token stream includes *header*."""
+    from repro.frontend.preprocessor import Preprocessor
+    from repro.frontend.source import SourceManager
+    from repro.stdlib.specs import PRELUDE_DEFINES, SYSTEM_HEADERS
+
+    sources = SourceManager()
+    for name, text in files.items():
+        if name.endswith(".h"):
+            sources.add(name, text)
+    including = []
+    for name, text in files.items():
+        if name.endswith(".h"):
+            continue
+        pp = Preprocessor(
+            sources, defines=dict(PRELUDE_DEFINES),
+            system_headers=SYSTEM_HEADERS,
+        )
+        tokens = pp.preprocess_text(text, name)
+        if any(tok.coords()[0] == header for tok in tokens):
+            including.append(name)
+    return sorted(including)
+
+
+def _with_erc_cap(files):
+    """*files* with a new prototype in erc.h that no unit calls."""
+    edited = dict(files)
+    edited["erc.h"] = edited["erc.h"].replace(
+        "extern int erc_size(erc c);",
+        "extern int erc_size(erc c);\nextern int erc_cap(erc c);",
+    )
+    return edited
+
+
+def _record_checked_units(monkeypatch):
+    """Names of the units the engine analyses from now on, in order."""
+    from repro.incremental import engine as engine_module
+
+    checked = []
+    real = engine_module.check_parsed_unit
+
+    def spy(pu, *args, **kwargs):
+        checked.append(pu.unit.name)
+        return real(pu, *args, **kwargs)
+
+    monkeypatch.setattr(engine_module, "check_parsed_unit", spy)
+    return checked
+
+
 class TestEquivalence:
     """The engine must be invisible in the output, whatever the path."""
 
@@ -105,17 +154,64 @@ class TestInvalidation:
         assert engine.stats.cache_misses == 0
         assert engine.stats.memo_misses == 1  # raw text did change
 
-    def test_interface_edit_rechecks_everything(self, db_files, tmp_path):
+    def test_interface_edit_rechecks_only_units_including_the_header(
+        self, db_files, tmp_path, monkeypatch
+    ):
+        root = str(tmp_path / "c")
+        IncrementalChecker(cache=ResultCache(root)).check_sources(dict(db_files))
+        edited = _with_erc_cap(db_files)
+        including = _units_with_tokens_from(edited, "erc.h")
+        assert 0 < len(including) < 6
+        checked = _record_checked_units(monkeypatch)
+        engine = IncrementalChecker(cache=ResultCache(root))
+        result = engine.check_sources(edited)
+        # The new prototype changes the token stream of every unit that
+        # includes erc.h; no other unit reads erc_cap, so each of them is
+        # answered from its slot.
+        assert sorted(checked) == including
+        assert engine.stats.cache_misses == len(including)
+        assert engine.stats.dep_hits == engine.stats.units - len(including)
+        assert _renders(result) == _renders(Checker().check_sources(edited))
+
+    def test_unchanged_run_after_interface_edit_is_all_exact_hits(
+        self, db_files, tmp_path
+    ):
         root = str(tmp_path / "c")
         IncrementalChecker(cache=ResultCache(root)).check_sources(dict(db_files))
         edited = dict(db_files)
-        edited["erc.h"] = edited["erc.h"].replace(
-            "extern int erc_size(erc c);",
-            "extern int erc_size(erc c);\nextern int erc_cap(erc c);",
-        )
-        engine = IncrementalChecker(cache=ResultCache(root))
-        engine.check_sources(edited)
-        assert engine.stats.cache_misses == engine.stats.units
+        edited["eref.c"] += "static int eref_unused(int x) { return x; }\n"
+        first = IncrementalChecker(cache=ResultCache(root))
+        first.check_sources(edited)
+        assert first.stats.cache_misses == 1
+        assert first.stats.dep_hits == first.stats.units - 1
+        again = IncrementalChecker(cache=ResultCache(root))
+        again.check_sources(edited)
+        # Slot hits were re-stamped under the new exact keys.
+        assert again.stats.cache_hits == again.stats.units
+        assert again.stats.dep_hits == 0
+
+    def test_reordered_units_are_answered_from_their_slots(
+        self, tmp_path, monkeypatch
+    ):
+        import random
+
+        files = db_sources(1)
+        headers = [n for n in files if n.endswith(".h")]
+        units = [n for n in files if not n.endswith(".h")]
+        root = str(tmp_path / "c")
+        IncrementalChecker(cache=ResultCache(root)).check_sources(dict(files))
+        checked = _record_checked_units(monkeypatch)
+        shuffled = list(units)
+        random.Random(7).shuffle(shuffled)
+        assert shuffled != units
+        for order in (list(reversed(units)), shuffled):
+            program = {n: files[n] for n in headers + order}
+            engine = IncrementalChecker(cache=ResultCache(root))
+            result = engine.check_sources(program)
+            # No merged entry db's units read depends on merge order.
+            assert engine.stats.dep_hits == len(units) == 6
+            assert result.render() == Checker().check_sources(program).render()
+        assert checked == []
 
     def test_flag_change_rechecks_without_reparsing(self, db_files, tmp_path):
         from repro.flags.registry import Flags
@@ -132,6 +228,59 @@ class TestInvalidation:
             dict(db_files)
         )
         assert _renders(result) == _renders(classic)
+
+
+class TestDependencyValidatedHits:
+    def test_dependency_hits_are_counted_and_reported(self, db_files, tmp_path):
+        from repro.obs.metrics import MetricsRegistry
+
+        root = str(tmp_path / "c")
+        IncrementalChecker(cache=ResultCache(root)).check_sources(dict(db_files))
+        registry = MetricsRegistry()
+        engine = IncrementalChecker(cache=ResultCache(root), metrics=registry)
+        engine.check_sources(_with_erc_cap(db_files))
+        stats = engine.stats
+        assert 0 < stats.dep_hits < stats.units
+        assert registry.count("cache.result.dep_hit") == stats.dep_hits
+        assert registry.count("cache.result.dep_miss") == stats.cache_misses
+        assert registry.count("cache.result.hit") == stats.cache_hits
+        warm = f"{stats.cache_hits} warm from result cache, "
+        assert f"{warm}{stats.dep_hits} by dependency check)" in (
+            stats.render_profile()
+        )
+        assert f"{stats.dep_hits} by dependency check" in stats.render()
+
+    def test_runs_without_dependency_hits_print_the_historical_lines(
+        self, db_files, tmp_path
+    ):
+        engine = IncrementalChecker(cache=ResultCache(str(tmp_path / "c")))
+        engine.check_sources(dict(db_files))
+        assert "dependency" not in engine.stats.render()
+        assert "(6 cold, 0 warm from result cache)" in (
+            engine.stats.render_profile()
+        )
+
+    def test_degraded_units_are_cached_under_neither_key(
+        self, db_files, tmp_path
+    ):
+        root = str(tmp_path / "c")
+        files = dict(db_files)
+        files["bad.c"] = "int oops( { ;;;\n"
+        engine = IncrementalChecker(cache=ResultCache(root))
+        engine.check_sources(files)
+        assert engine.stats.degraded_units == 1
+        report = ResultCache(root).verify_integrity()
+        # An exact key and a slot per healthy unit, nothing for bad.c.
+        assert report["journal"] == 2 * (engine.stats.units - 1)
+        assert report["corrupt"] == 0
+        # The next run checks bad.c again, whatever else hits.
+        edited = _with_erc_cap(files)
+        including = _units_with_tokens_from(edited, "erc.h")
+        again = IncrementalChecker(cache=ResultCache(root))
+        again.check_sources(edited)
+        assert again.stats.degraded_units == 1
+        assert again.stats.cache_misses == len(including) + 1
+        assert again.stats.dep_hits == again.stats.units - len(including) - 1
 
 
 class TestWarmSpeedup:

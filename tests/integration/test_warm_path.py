@@ -3,8 +3,8 @@
 Structural, not timed: a fresh interpreter runs the CLI against a warm
 cache and reports which modules it loaded. A check answered entirely
 from the result cache must not import the AST, lexer, preprocessor,
-parser, analysis, pool scheduler, cache service, daemon, checking service or
-asyncio; a bare ``import repro`` must load no frontend or analysis
+parser, analysis, recording views, entry digests, pool scheduler, cache
+service, daemon, checking service or asyncio; a bare ``import repro`` must load no frontend or analysis
 module at all.
 """
 
@@ -29,6 +29,8 @@ WARM_PATH_FORBIDDEN = (
     "repro.frontend.preprocessor",
     "repro.frontend.parser",
     "repro.analysis",
+    "repro.core.reads",
+    "repro.incremental.entries",
     "repro.incremental.parallel",
     "repro.incremental.cacheserver",
     "repro.incremental.server",

@@ -20,9 +20,9 @@ from repro.incremental.fingerprint import (
     prelude_digest,
     program_digest,
     source_key,
-    stable_digest,
     token_stream_digest,
 )
+from repro.incremental.entries import stable_digest
 from repro.messages.message import Message, MessageCode
 
 
@@ -147,6 +147,40 @@ class TestResultCache:
         with open(victim, "w") as handle:
             json.dump({"messages": [{"nope": 1}], "suppressed": 0}, handle)
         assert cache.get_result(self.FP) is None
+
+    def test_slot_round_trip(self, tmp_path):
+        cache = ResultCache(str(tmp_path / "c"))
+        reads = ("e:RED", "f:malloc", "g:head")
+        cache.put_slot(self.FP, [_message()], 1, reads, "de" * 32)
+        messages, suppressed, loaded_reads, deps = cache.get_slot(self.FP)
+        assert [m.render() for m in messages] == [_message().render()]
+        assert (suppressed, loaded_reads, deps) == (1, reads, "de" * 32)
+        # A plain result is no slot.
+        cache.put_result("cd" * 32, [], suppressed=0)
+        assert cache.get_slot("cd" * 32) is None
+
+    def test_slots_share_the_batched_journal(self, tmp_path):
+        root = str(tmp_path / "c")
+        cache = ResultCache(root)
+        with cache.batch():
+            cache.put_result(self.FP, [_message()], suppressed=0)
+            cache.put_slot("cd" * 32, [_message()], 0, ("f:f",), "de" * 32)
+        reopened = ResultCache(root)
+        assert reopened.get_slot("cd" * 32)[2] == ("f:f",)
+        assert reopened.verify_integrity()["journal"] == 2
+        assert reopened.verify_integrity()["corrupt"] == 0
+
+    def test_corrupt_slot_is_dropped_and_counted(self, tmp_path):
+        root = str(tmp_path / "c")
+        cache = ResultCache(root)
+        victim = os.path.join(cache.root, "results", self.FP + ".json")
+        with open(victim, "w") as handle:
+            json.dump({"messages": [], "suppressed": 0, "reads": "f:f",
+                       "deps": "de" * 32}, handle)
+        assert cache.verify_integrity()["corrupt"] == 1
+        assert cache.get_slot(self.FP) is None
+        assert not os.path.exists(victim)
+        assert cache.drain_dropped() >= 1
 
     def test_version_mismatch_rebuilds(self, tmp_path):
         root = str(tmp_path / "c")
