@@ -59,7 +59,7 @@ FRONTEND_MODULES = (
     "repro.frontend.preprocessor",
     "repro.frontend.parser",
 )
-ANALYSIS_MODULES = ("repro.analysis.checker",)
+ANALYSIS_MODULES = ("repro.analysis.checker", "repro.core.reads")
 
 
 def frontend_errors() -> tuple[type, ...]:
