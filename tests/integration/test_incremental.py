@@ -260,6 +260,42 @@ class TestDependencyValidatedHits:
             engine.stats.render_profile()
         )
 
+    def test_another_units_global_and_enum_constant_are_dependencies(
+        self, tmp_path, monkeypatch
+    ):
+        # a.c's messages depend on b.c's annotation of g and value of
+        # LIMIT, while a.c's own tokens never change.
+        a = (
+            "extern char *g;\n"
+            "void f(void) { *g = 'a'; }\n"
+            "void h(void) { char buf[4]; buf[LIMIT] = 'x'; }\n"
+        )
+
+        def program(null, limit, helper=""):
+            b = f"{'/*@null@*/ ' if null else ''}char *g;\n"
+            if limit is not None:
+                b += f"enum {{ LIMIT = {limit} }};\n"
+            return {"a.c": a, "b.c": b + helper}
+
+        root = str(tmp_path / "c")
+        IncrementalChecker(cache=ResultCache(root)).check_sources(
+            program(True, 4)
+        )
+        checked = _record_checked_units(monkeypatch)
+        for files in (
+            program(False, 4), program(False, 2), program(True, 2),
+            program(True, None), program(True, 5),
+            program(True, 5, "static int unused(void) { return 0; }\n"),
+        ):
+            del checked[:]
+            engine = IncrementalChecker(cache=ResultCache(root))
+            result = engine.check_sources(files)
+            assert result.render() == Checker().check_sources(files).render()
+            if "unused" in files["b.c"]:
+                assert checked == ["b.c"]  # a.c reads nothing that changed
+            else:
+                assert checked == ["a.c", "b.c"]
+
     def test_degraded_units_are_cached_under_neither_key(
         self, db_files, tmp_path
     ):
