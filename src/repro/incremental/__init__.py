@@ -8,7 +8,7 @@ that modularity into an engine:
   preprocessed token stream, flags, prelude version, and program
   interface;
 * :mod:`repro.incremental.cache` — the corruption-tolerant on-disk
-  result cache (``.pylclint-cache/``);
+  result cache: one SQLite database, ``.pylclint-cache/cache.db``;
 * :mod:`repro.incremental.engine` — the :class:`IncrementalChecker`
   orchestrating memo lookups, cache hits, and (re)checking;
 * :mod:`repro.incremental.shard` — partitioning units into worker

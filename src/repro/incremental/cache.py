@@ -2,66 +2,63 @@
 
 Layout::
 
-    <root>/meta.json            cache-format + engine version stamp
-    <root>/lock                 advisory flock taken around wipes and
-                                journal writes (see repro.service.locking)
-    <root>/units/<key>.pkl      per-unit memo: token digest, interface
-                                digest + pickled interface slice, include
-                                closure, enum constants
-    <root>/results/<fp>.json    per-unit check result: serialized messages
-                                and the suppressed-message count; a
-                                result *slot* (keyed without the program
-                                digest) also holds the names its check
-                                read and a digest of their values
-    <root>/results/journal.jsonl
-                                append-only result journal: recent check
-                                results land here first, one JSON object
-                                per line, one append per unit *batch*
-                                instead of one file write per unit; the
-                                journal is folded into ``<fp>.json``
-                                files when it grows past
-                                :data:`JOURNAL_COMPACT_ENTRIES`
+    <root>/cache.db     SQLite database in WAL mode (+ -wal, -shm files)
+    <root>/prelude/     parsed-prelude snapshot (see repro.core.api)
+    <root>/crashes/     crash bundles (see repro.core.faults)
 
-Every load path is corruption-tolerant: a truncated, garbled, or
-version-mismatched file is treated as a miss and discarded, never an
-error — a bad cache can cost time, but it must not change results or
-crash the checker. Each discarded entry is counted (``dropped`` /
-``cache.entries.dropped`` in the metrics registry) so corruption is
-diagnosable: the engine surfaces the total as a run note. Per-entry
-writes go through a temp file + ``os.replace``; journal appends are a
-single buffered write, and a process killed mid-append leaves at worst
-one truncated final line, which the next load drops and heals by
-rewriting the journal's valid prefix.
+``cache.db`` has a one-row ``meta`` table with the cache-format and
+engine versions (a mismatch clears the entries in the transaction that
+restamps it) and an ``entries`` table keyed by ``(kind, hex key)``. A
+``result`` row's ``data`` is a check result as JSON: serialized messages
+and the suppressed count, plus, for a result *slot* (keyed without the
+program digest), the names its check read and a digest of their values.
+A ``memo`` row's ``data`` holds the unit memo's fields as JSON and its
+``blob`` the pickled interface slice.
+
+Every load path is corruption-tolerant: a bad cache can cost time, but
+never change results or crash the checker. A row that does not decode
+is deleted and counted (``dropped`` / ``cache.entries.dropped``), which
+the engine surfaces as a run note; a ``cache.db`` SQLite cannot read is
+removed and rebuilt, with a note. The puts of a :meth:`ResultCache.batch`
+land in one transaction, so an engine run is one commit: one fsync under
+WAL with ``synchronous=FULL``. Readers never wait for a writer; writers
+in other processes wait on SQLite's busy timeout.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import pickle
 import shutil
-import tempfile
+import sqlite3
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from ..messages.message import Message
 from ..obs.metrics import GLOBAL_METRICS
-from ..service.locking import LOCK_FILE_NAME, CacheDirLock
 from .fingerprint import ENGINE_VERSION
 
 DEFAULT_CACHE_DIR = ".pylclint-cache"
 
 #: Format version of the on-disk layout itself (distinct from the engine
 #: version, which participates in fingerprints).
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2
 
-#: Journal entries beyond this count are compacted into per-fingerprint
-#: files on the next load or flush, bounding both journal-replay time
-#: and the memory held by the in-process overlay.
-JOURNAL_COMPACT_ENTRIES = 512
+_DB_NAME = "cache.db"
 
-_JOURNAL_NAME = "journal.jsonl"
+#: What a format-1 (file-per-entry) cache directory held.
+_FORMAT_1_LAYOUT = ("meta.json", "units", "results", "lock")
 
-_HEX = set("0123456789abcdef")
+_SCHEMA = (
+    "CREATE TABLE IF NOT EXISTS meta (format, engine)",
+    "CREATE TABLE IF NOT EXISTS entries (kind TEXT, key TEXT, "
+    "data TEXT NOT NULL, blob BLOB, PRIMARY KEY (kind, key)) WITHOUT ROWID",
+)
+
+_INSERT = "INSERT OR REPLACE INTO entries VALUES (?, ?, ?, ?)"
+
+_HEX = "0123456789abcdef"
 
 
 @dataclass
@@ -75,8 +72,66 @@ class UnitMemo:
     enum_consts: dict[str, int] = field(default_factory=dict)
 
 
+def _check_key(key: str) -> None:
+    # Keys arrive from the network through the cache server. strip()
+    # removes hex digits from both ends, so anything left is not hex.
+    if not key or key.strip(_HEX):
+        raise ValueError(f"cache key is not a hex digest: {key!r}")
+
+
+def _damaged(exc: sqlite3.DatabaseError) -> bool:
+    # sqlite3 raises the bare base class for a corrupt file or one that
+    # is not a database; busy, I/O and misuse errors are subclasses.
+    return type(exc) is sqlite3.DatabaseError
+
+
+def _remove(path: str) -> None:
+    if os.path.isdir(path):
+        shutil.rmtree(path, ignore_errors=True)
+    elif os.path.lexists(path):
+        try:
+            os.unlink(path)
+        except OSError:
+            pass
+
+
+def _memo_row(data, blob) -> UnitMemo | None:
+    try:
+        fields = json.loads(data)
+        return UnitMemo(
+            str(fields["token_digest"]), str(fields["iface_digest"]),
+            bytes(blob), [(str(n), str(s)) for n, s in fields["includes"]],
+            {str(k): int(v) for k, v in fields["enum_consts"].items()},
+        )
+    except (KeyError, TypeError, ValueError, AttributeError):
+        return None
+
+
+def _result_json(messages: list[Message], suppressed: int, **slot) -> str:
+    return json.dumps({
+        "messages": [m.to_dict() for m in messages],
+        "suppressed": suppressed, **slot,
+    })
+
+
+def _result_row(data, blob):
+    """``(payload, (messages, suppressed))``, or ``None`` if malformed."""
+    try:
+        payload = json.loads(data)
+    except (TypeError, ValueError):
+        return None
+    decoded = ResultCache._decode_result(payload)
+    return None if decoded is None else (payload, decoded)
+
+
 class ResultCache:
-    """On-disk cache of per-unit memos and check results."""
+    """On-disk cache of per-unit memos and check results.
+
+    One instance may be shared by threads (the checking service's
+    workers): the connection is used under a lock, and each thread's
+    batch is its own. A process forked from the owner must not use it.
+    The connection closes when the instance is collected.
+    """
 
     def __init__(self, root: str, metrics=None) -> None:
         self.root = os.path.abspath(root)
@@ -86,159 +141,172 @@ class ResultCache:
         # engine turns a non-zero total into a CheckStats note, so cache
         # corruption is diagnosable instead of silently costing time.
         self.dropped = 0
-        self.lock = CacheDirLock(self.root)
-        # Result-journal state: the parsed overlay of journal entries
-        # (consulted before per-fingerprint files), and writes buffered
-        # by an open batch() awaiting one flush.
-        self._journal: dict[str, dict] = {}
-        self._pending: dict[str, dict] = {}
-        self._batch_depth = 0
-        self._ensure_layout()
-        self._load_journal()
+        self._lock = threading.RLock()
+        # Per thread: the rows buffered by an open batch(), or None.
+        self._local = threading.local()
+        os.makedirs(self.root, exist_ok=True)
+        old = [os.path.join(self.root, name) for name in _FORMAT_1_LAYOUT]
+        if any(os.path.lexists(path) for path in old):
+            self._note_rebuild("has a different version")
+            for path in old:
+                _remove(path)
+        try:
+            self._db = self._connect()
+        except sqlite3.DatabaseError as exc:
+            if not _damaged(exc):
+                raise
+            self._db = self._rebuild()
 
-    # -- layout / versioning ------------------------------------------------
+    # -- opening / versioning ------------------------------------------------
 
-    def _meta_path(self) -> str:
-        return os.path.join(self.root, "meta.json")
+    def _connect(self) -> sqlite3.Connection:
+        db = sqlite3.connect(
+            os.path.join(self.root, _DB_NAME), timeout=30.0,
+            check_same_thread=False,
+        )
+        try:
+            db.execute("PRAGMA journal_mode=WAL")
+            db.execute("PRAGMA synchronous=FULL")
+            stamp = [(CACHE_FORMAT_VERSION, ENGINE_VERSION)]
+            try:
+                current = db.execute("SELECT * FROM meta").fetchall()
+            except sqlite3.OperationalError:
+                current = None  # a new database: no tables yet
+            if current != stamp:
+                # Re-read inside the write transaction: another process
+                # may have stamped the database since.
+                db.execute("BEGIN IMMEDIATE")
+                for statement in _SCHEMA:
+                    db.execute(statement)
+                current = db.execute("SELECT * FROM meta").fetchall()
+                if current != stamp:
+                    if current:
+                        self._note_rebuild("has a different version")
+                    db.execute("DELETE FROM entries")
+                    db.execute("DELETE FROM meta")
+                    db.execute("INSERT INTO meta VALUES (?, ?)", stamp[0])
+                db.commit()
+        except BaseException:
+            db.close()
+            raise
+        return db
 
-    def _ensure_layout(self) -> None:
-        meta = {"format": CACHE_FORMAT_VERSION, "engine": ENGINE_VERSION}
-        with self.lock.exclusive():
-            current = self._read_json(self._meta_path())
-            if current != meta:
-                if current is not None or os.path.exists(self._meta_path()):
-                    self.notes.append(
-                        f"cache at {self.root} has a different version; "
-                        f"rebuilding"
-                    )
-                self._wipe()
-            os.makedirs(os.path.join(self.root, "units"), exist_ok=True)
-            os.makedirs(os.path.join(self.root, "results"), exist_ok=True)
-            if current != meta:
-                self._write_bytes(
-                    self._meta_path(), json.dumps(meta).encode("utf-8")
-                )
+    def _rebuild(self) -> sqlite3.Connection:
+        self._note_rebuild("is unreadable")
+        for suffix in ("", "-wal", "-shm"):
+            _remove(os.path.join(self.root, _DB_NAME + suffix))
+        return self._connect()
+
+    def _failed(self, exc: sqlite3.DatabaseError) -> None:
+        """A busy or failing disk (``OperationalError``) costs only the
+        statement that hit it; a damaged file is rebuilt; any other
+        error is a bug and raised."""
+        if _damaged(exc):
+            self._db.close()
+            self._db = self._rebuild()
+        elif not isinstance(exc, sqlite3.OperationalError):
+            raise exc
+
+    def _note_rebuild(self, why: str) -> None:
+        self.notes.append(f"cache at {self.root} {why}; rebuilding")
+        self.metrics.inc("cache.wipes")
 
     def drain_dropped(self) -> int:
         """Return and reset the dropped-entry count for this period."""
-        out = self.dropped
-        self.dropped = 0
+        with self._lock:
+            out, self.dropped = self.dropped, 0
         return out
 
-    def _wipe(self) -> None:
-        if os.path.isdir(self.root):
-            # The lock file is excluded twice over: the wipe runs while
-            # holding the flock on it (deleting it would silently break
-            # exclusion for other processes), and its presence alone —
-            # taking the lock creates it — is not cache content, so a
-            # fresh directory does not count as a wipe.
-            entries = [
-                e for e in os.listdir(self.root) if e != LOCK_FILE_NAME
-            ]
-            if not entries:
-                return
-            self.metrics.inc("cache.wipes")
-            for entry in entries:
-                path = os.path.join(self.root, entry)
+    # -- rows and batches ----------------------------------------------------
+
+    def _load(self, kind: str, key: str, decode):
+        """Decoded entry *kind*/*key*, or ``None`` on a miss. A row that
+        does not decode is deleted and counted."""
+        _check_key(key)
+        pending = getattr(self._local, "pending", None)
+        row = pending.get((kind, key)) if pending else None
+        if row is None:
+            with self._lock:
                 try:
-                    if os.path.isdir(path):
-                        shutil.rmtree(path)
-                    else:
-                        os.unlink(path)
-                except OSError:
-                    pass
-        else:
-            try:
-                os.makedirs(self.root, exist_ok=True)
-            except OSError:
-                pass
-
-    # -- low-level tolerant IO ---------------------------------------------
-
-    def _read_json(self, path: str):
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                return json.load(handle)
-        except OSError:
-            return None
-        except ValueError:
-            # The file exists but is not JSON: drop it so the slot is
-            # rewritten instead of failing to parse on every run.
-            self._discard(path)
-            return None
-
-    def _read_pickle(self, path: str):
-        try:
-            handle = open(path, "rb")
-        except OSError:
-            return None  # absent entry: a plain miss, not corruption
-        try:
-            with handle:
-                return pickle.load(handle)
-        except Exception:
-            # Any unpickling failure (truncation, garbage, missing class)
-            # is a miss; drop the bad entry so it is rewritten.
-            self._discard(path)
-            return None
-
-    def _discard(self, path: str, corrupt: bool = True) -> None:
-        """Remove a cache file; *corrupt* entries are counted so the drop
-        is visible in metrics and run notes (temp-file cleanup is not)."""
-        if corrupt:
-            self.dropped += 1
+                    row = self._db.execute(
+                        "SELECT data, blob FROM entries "
+                        "WHERE kind = ? AND key = ?", (kind, key),
+                    ).fetchone()
+                except sqlite3.DatabaseError as exc:
+                    self._failed(exc)
+                    return None
+            if row is None:
+                return None
+        value = decode(*row)
+        if value is None:
+            with self._lock:
+                self.dropped += 1
             self.metrics.inc("cache.entries.dropped")
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
+            self._write(
+                "DELETE FROM entries WHERE kind = ? AND key = ?", [(kind, key)]
+            )
+        return value
 
-    def _write_bytes(self, path: str, data: bytes) -> None:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=os.path.dirname(path), prefix=".tmp-", suffix="~"
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
-            os.replace(tmp, path)
-        except OSError:
-            self.metrics.inc("cache.write.failures")
-            self._discard(tmp, corrupt=False)
+    def _put(self, kind: str, key: str, data: str, blob=None) -> None:
+        _check_key(key)
+        pending = getattr(self._local, "pending", None)
+        if pending is not None:
+            pending[(kind, key)] = (data, blob)
+        else:
+            self._write(_INSERT, [(kind, key, data, blob)])
 
-    def _entry_path(self, kind: str, key: str, suffix: str) -> str:
-        if not key or any(ch not in _HEX for ch in key):
-            raise ValueError(f"cache key is not a hex digest: {key!r}")
-        return os.path.join(self.root, kind, key + suffix)
+    def _write(self, sql: str, rows: list[tuple]) -> None:
+        """Run *sql* over *rows* in one transaction."""
+        with self._lock:
+            try:
+                with self._db:
+                    self._db.executemany(sql, rows)
+            except sqlite3.DatabaseError as exc:
+                self.metrics.inc("cache.write.failures")
+                self._failed(exc)
+                return
+        self.metrics.inc("cache.commits")
+        self.metrics.inc("cache.entries.written", len(rows))
+
+    @contextmanager
+    def batch(self):
+        """Buffer this thread's puts and write them in one transaction
+        when the outermost batch exits (re-entrant)."""
+        local = self._local
+        if getattr(local, "pending", None) is not None:
+            yield self
+            return
+        local.pending = {}
+        try:
+            yield self
+        finally:
+            try:
+                self.flush_batch()
+            finally:
+                local.pending = None
+
+    def flush_batch(self) -> None:
+        """Write this thread's buffered puts in one transaction."""
+        pending = getattr(self._local, "pending", None)
+        if pending:
+            self._write(
+                _INSERT,
+                [(kind, key, *row) for (kind, key), row in pending.items()],
+            )
+            pending.clear()
 
     # -- unit memos ----------------------------------------------------------
 
     def get_unit_memo(self, key: str) -> UnitMemo | None:
-        payload = self._read_pickle(self._entry_path("units", key, ".pkl"))
-        if not isinstance(payload, dict):
-            return None
-        try:
-            return UnitMemo(
-                token_digest=payload["token_digest"],
-                iface_digest=payload["iface_digest"],
-                iface_pickle=payload["iface_pickle"],
-                includes=[(str(n), str(s)) for n, s in payload["includes"]],
-                enum_consts=dict(payload["enum_consts"]),
-            )
-        except (KeyError, TypeError, ValueError):
-            self._discard(self._entry_path("units", key, ".pkl"))
-            return None
+        return self._load("memo", key, _memo_row)
 
     def put_unit_memo(self, key: str, memo: UnitMemo) -> None:
-        payload = {
+        self._put("memo", key, json.dumps({
             "token_digest": memo.token_digest,
             "iface_digest": memo.iface_digest,
-            "iface_pickle": memo.iface_pickle,
             "includes": list(memo.includes),
             "enum_consts": dict(memo.enum_consts),
-        }
-        self._write_bytes(
-            self._entry_path("units", key, ".pkl"), pickle.dumps(payload)
-        )
+        }), memo.iface_pickle)
 
     # -- check results -------------------------------------------------------
 
@@ -266,45 +334,15 @@ class ResultCache:
                 return None
         return messages, suppressed
 
-    def _read_entry(self, fingerprint: str):
-        """``(payload, (messages, suppressed))`` stored under
-        *fingerprint*, or ``None`` on a miss.
-
-        Journal entries (and results buffered in an open batch) shadow
-        per-fingerprint files: they are strictly newer.
-        """
-        payload = self._pending.get(fingerprint)
-        if payload is None:
-            payload = self._journal.get(fingerprint)
-        if payload is not None:
-            decoded = self._decode_result(payload)
-            if decoded is not None:
-                return payload, decoded
-            # A garbled overlay entry (corrupt journal line that still
-            # parsed as JSON) is dropped like a corrupt file would be.
-            self._journal.pop(fingerprint, None)
-            self._pending.pop(fingerprint, None)
-            self.dropped += 1
-            self.metrics.inc("cache.entries.dropped")
-        path = self._entry_path("results", fingerprint, ".json")
-        payload = self._read_json(path)
-        if payload is None:
-            return None
-        decoded = self._decode_result(payload)
-        if decoded is None:
-            self._discard(path)
-            return None
-        return payload, decoded
-
     def get_result(self, fingerprint: str):
         """Return ``(messages, suppressed)`` or ``None`` on a miss."""
-        entry = self._read_entry(fingerprint)
+        entry = self._load("result", fingerprint, _result_row)
         return None if entry is None else entry[1]
 
     def get_slot(self, key: str):
         """Return ``(messages, suppressed, reads, deps)`` stored by
         :meth:`put_slot`, or ``None`` on a miss."""
-        entry = self._read_entry(key)
+        entry = self._load("result", key, _result_row)
         if entry is None or "deps" not in entry[0]:
             return None
         payload, (messages, suppressed) = entry
@@ -313,250 +351,46 @@ class ResultCache:
     def put_result(
         self, fingerprint: str, messages: list[Message], suppressed: int
     ) -> None:
-        """Store a check result.
-
-        Inside a :meth:`batch` the write is buffered and lands in one
-        journal append when the batch closes; outside a batch it is an
-        immediate (atomic) per-fingerprint file write, preserving the
-        one-shot behaviour.
-        """
-        self._put(fingerprint, {
-            "messages": [m.to_dict() for m in messages],
-            "suppressed": suppressed,
-        })
+        """Store a check result: buffered inside a :meth:`batch`, else
+        one immediate commit."""
+        self._put("result", fingerprint, _result_json(messages, suppressed))
 
     def put_slot(
-        self,
-        key: str,
-        messages: list[Message],
-        suppressed: int,
-        reads: tuple[str, ...],
-        deps: str,
+        self, key: str, messages: list[Message], suppressed: int,
+        reads: tuple[str, ...], deps: str,
     ) -> None:
         """Store a unit's result slot: a check result together with the
         names the check read from the merged symbol table and one digest
-        of their values (see ``entries.EntryDigests``). Slots share
-        the result journal and files; only the engine reads them."""
-        self._put(key, {
-            "messages": [m.to_dict() for m in messages],
-            "suppressed": suppressed,
-            "reads": list(reads),
-            "deps": deps,
-        })
-
-    def _put(self, fingerprint: str, payload: dict) -> None:
-        if self._batch_depth > 0:
-            # Validate the key eagerly so a bad fingerprint fails at the
-            # call site, not at flush time.
-            self._entry_path("results", fingerprint, ".json")
-            self._pending[fingerprint] = payload
-            return
-        self._write_bytes(
-            self._entry_path("results", fingerprint, ".json"),
-            json.dumps(payload).encode("utf-8"),
-        )
-
-    # -- the results journal -------------------------------------------------
-
-    def _journal_path(self) -> str:
-        return os.path.join(self.root, "results", _JOURNAL_NAME)
-
-    def batch(self) -> "_Batch":
-        """Context manager buffering :meth:`put_result` calls into one
-        journal append (re-entrant; only the outermost exit flushes)."""
-        return _Batch(self)
-
-    def flush_batch(self) -> None:
-        """Append every buffered result to the journal in one write."""
-        if not self._pending:
-            return
-        lines = []
-        for fingerprint, payload in self._pending.items():
-            record = dict(payload)
-            record["fp"] = fingerprint
-            lines.append(json.dumps(record) + "\n")
-        data = "".join(lines).encode("utf-8")
-        with self.lock.exclusive():
-            try:
-                with open(self._journal_path(), "ab") as handle:
-                    handle.write(data)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-            except OSError:
-                self.metrics.inc("cache.write.failures")
-                self._pending.clear()
-                return
-        self._journal.update(self._pending)
-        self.metrics.inc("cache.journal.flushes")
-        self.metrics.inc("cache.journal.entries", len(self._pending))
-        self._pending.clear()
-        if len(self._journal) > JOURNAL_COMPACT_ENTRIES:
-            self.compact_journal()
-
-    def _load_journal(self) -> None:
-        """Replay the journal into the in-process overlay.
-
-        Tolerant line by line: a truncated final line (a process killed
-        mid-append) or garbled bytes drop just that line. When anything
-        was dropped, the journal is rewritten with only the valid
-        entries — the cache heals itself instead of re-reporting the
-        same corruption on every run.
-        """
-        try:
-            with open(self._journal_path(), "rb") as handle:
-                raw_lines = handle.read().split(b"\n")
-        except OSError:
-            return
-        entries, corrupt = self._parse_journal_lines(raw_lines)
-        self._journal = entries
-        if corrupt:
-            self.dropped += corrupt
-            self.metrics.inc("cache.entries.dropped", corrupt)
-            self.metrics.inc("cache.journal.healed")
-            self._rewrite_journal()
-        elif len(entries) > JOURNAL_COMPACT_ENTRIES:
-            self.compact_journal()
-
-    @classmethod
-    def _parse_journal_lines(
-        cls, raw_lines: list[bytes]
-    ) -> tuple[dict[str, dict], int]:
-        """Tolerantly parse journal lines → (entries, corrupt count).
-
-        Shared by journal replay and compaction so both agree exactly on
-        what a valid entry is.
-        """
-        corrupt = 0
-        entries: dict[str, dict] = {}
-        for raw in raw_lines:
-            if not raw.strip():
-                continue
-            try:
-                record = json.loads(raw.decode("utf-8"))
-                fingerprint = record.pop("fp")
-            except (ValueError, KeyError, AttributeError, TypeError):
-                corrupt += 1
-                continue
-            if (
-                not isinstance(fingerprint, str)
-                or not fingerprint
-                or any(ch not in _HEX for ch in fingerprint)
-                or cls._decode_result(record) is None
-            ):
-                corrupt += 1
-                continue
-            entries[fingerprint] = record
-        return entries, corrupt
-
-    def _rewrite_journal(self) -> None:
-        """Atomically replace the journal with the overlay's entries."""
-        lines = []
-        for fingerprint, payload in self._journal.items():
-            record = dict(payload)
-            record["fp"] = fingerprint
-            lines.append(json.dumps(record) + "\n")
-        with self.lock.exclusive():
-            self._write_bytes(
-                self._journal_path(), "".join(lines).encode("utf-8")
-            )
-
-    def compact_journal(self) -> None:
-        """Fold journal entries into per-fingerprint files and truncate.
-
-        The whole fold-then-truncate sequence runs under the cache-dir
-        lock, and the entries folded are re-read from the file *inside*
-        the lock. Two processes can both cross the size threshold
-        concurrently, but whichever folds second folds whatever the
-        journal then contains (usually nothing) instead of truncating
-        appends it never observed — folding only this process's
-        in-memory overlay would discard the other process's results.
-        The disk journal is a superset of any process's overlay (an
-        append lands before the overlay is updated), so folding the
-        disk contents never loses a result. A concurrent reader sees
-        either the journal entry or the compacted file, both with
-        identical contents.
-        """
-        with self.lock.exclusive():
-            try:
-                with open(self._journal_path(), "rb") as handle:
-                    raw_lines = handle.read().split(b"\n")
-            except OSError:
-                raw_lines = []
-            entries, corrupt = self._parse_journal_lines(raw_lines)
-            if not entries and not corrupt:
-                self._journal.clear()
-                return
-            for fingerprint, payload in entries.items():
-                self._write_bytes(
-                    self._entry_path("results", fingerprint, ".json"),
-                    json.dumps(payload).encode("utf-8"),
-                )
-            self._write_bytes(self._journal_path(), b"")
-        if corrupt:
-            self.dropped += corrupt
-            self.metrics.inc("cache.entries.dropped", corrupt)
-        self.metrics.inc("cache.journal.compactions")
-        self._journal.clear()
+        of their values (see ``entries.EntryDigests``). Slots are result
+        rows; only the engine reads them."""
+        self._put("result", key, _result_json(
+            messages, suppressed, reads=list(reads), deps=deps
+        ))
 
     # -- integrity ------------------------------------------------------------
 
     def verify_integrity(self) -> dict:
-        """Re-read every entry; returns counts for an intactness check.
-
-        Used by the chaos harness (and available to operators) to prove
-        that a fault-injected run left the cache fully readable:
-        ``corrupt`` must be 0 afterwards. Reading is done with the same
-        tolerant decoders the hot path uses, so "intact" means exactly
-        "every entry would be a hit, none would be dropped".
-        """
-        report = {"results": 0, "unit_memos": 0, "journal": 0, "corrupt": 0}
-        for fingerprint, payload in list(self._journal.items()):
-            if self._decode_result(payload) is None:
+        """Counts for an intactness check: ``corrupt`` adds the problems
+        ``PRAGMA quick_check`` reports to the rows the hot path would
+        drop, so 0 means every entry would be a hit. The chaos harness
+        gates on it after a fault-injected run."""
+        report = {"results": 0, "unit_memos": 0, "corrupt": 0}
+        with self._lock:
+            try:
+                problems = self._db.execute("PRAGMA quick_check").fetchall()
+                rows = self._db.execute(
+                    "SELECT kind, data, blob FROM entries"
+                ).fetchall()
+            except sqlite3.DatabaseError:
                 report["corrupt"] += 1
-            else:
-                report["journal"] += 1
-        results_dir = os.path.join(self.root, "results")
-        units_dir = os.path.join(self.root, "units")
-        for name in self._entry_names(results_dir, ".json"):
-            payload = self._read_json(os.path.join(results_dir, name))
-            if self._decode_result(payload) is None:
-                report["corrupt"] += 1
-            else:
+                return report
+        if problems != [("ok",)]:
+            report["corrupt"] += len(problems)
+        for kind, data, blob in rows:
+            if kind == "result" and _result_row(data, blob):
                 report["results"] += 1
-        for name in self._entry_names(units_dir, ".pkl"):
-            if self.get_unit_memo(name[: -len(".pkl")]) is None:
-                report["corrupt"] += 1
-            else:
+            elif kind == "memo" and _memo_row(data, blob):
                 report["unit_memos"] += 1
+            else:
+                report["corrupt"] += 1
         return report
-
-    @staticmethod
-    def _entry_names(directory: str, suffix: str) -> list[str]:
-        try:
-            names = os.listdir(directory)
-        except OSError:
-            return []
-        return sorted(
-            n for n in names
-            if n.endswith(suffix)
-            and all(ch in _HEX for ch in n[: -len(suffix)])
-            and n != _JOURNAL_NAME
-        )
-
-
-class _Batch:
-    """Re-entrant context manager driving one journal flush."""
-
-    __slots__ = ("_cache",)
-
-    def __init__(self, cache: ResultCache) -> None:
-        self._cache = cache
-
-    def __enter__(self) -> ResultCache:
-        self._cache._batch_depth += 1
-        return self._cache
-
-    def __exit__(self, *exc) -> None:
-        self._cache._batch_depth -= 1
-        if self._cache._batch_depth == 0:
-            self._cache.flush_batch()

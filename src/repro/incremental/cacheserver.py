@@ -105,10 +105,10 @@ def _decode_memo(payload) -> UnitMemo | None:
 class CacheServer:
     """Serve one cache directory's results and memos to many checkers.
 
-    All cache access happens on the event loop thread — entry reads and
-    writes are small file operations, and serializing them through one
-    thread is what makes concurrent ``put``s safe without extra locks
-    (the cache's own flock still guards against *other* processes).
+    All cache access happens on the event loop thread: entry reads and
+    writes are small indexed SQLite statements, each ``put`` its own
+    commit. The cache's SQLite store keeps writers in *other*
+    processes safe as well.
     """
 
     def __init__(
@@ -186,7 +186,6 @@ class CacheServer:
                 await server.wait_closed()
             except Exception:
                 pass
-        self.cache.flush_batch()
         if self.unix_path is not None:
             try:
                 os.unlink(self.unix_path)
@@ -264,7 +263,7 @@ class CacheServer:
             if op == "put":
                 return self._handle_put(request)
         except ValueError as exc:
-            # A non-hex key raises from the cache's path validation.
+            # A non-hex key raises from the cache's key validation.
             self.metrics.inc("cacheserver.errors")
             return {"ok": False, "error": str(exc)}
         self.metrics.inc("cacheserver.errors")

@@ -31,7 +31,6 @@ import importlib
 import os
 import pickle
 import sys
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from ..core.api import (
@@ -324,6 +323,14 @@ class IncrementalChecker:
         return self.check_sources(files)
 
     def check_sources(self, files: dict[str, str]) -> CheckResult:
+        # One batch around the whole run: its memo and result writes
+        # land in one commit.
+        if self.cache is None:
+            return self._check_sources(files)
+        with self.cache.batch():
+            return self._check_sources(files)
+
+    def _check_sources(self, files: dict[str, str]) -> CheckResult:
         stats = CheckStats(jobs=self.jobs, remote_used=self.remote is not None)
         metrics = self.metrics
         metrics.inc("engine.runs")
@@ -519,11 +526,11 @@ class IncrementalChecker:
                 plan.output = output
             if restamps or misses:
                 with self.tracer.span("cache", cat="phase") as write_span:
-                    # One journal append for the whole batch instead of
-                    # one file write per unit (see cache.batch()).
-                    with self.cache.batch() if self.cache is not None \
-                            else nullcontext():
-                        self._store_results(restamps, misses, entries)
+                    self._store_results(restamps, misses, entries)
+                    if self.cache is not None:
+                        # The run's commit, timed as cache work; the
+                        # batch's exit then has nothing left to write.
+                        self.cache.flush_batch()
                 stats.cache_s += write_span.duration
 
             messages, suppressed = merge_unit_outputs(
@@ -542,6 +549,9 @@ class IncrementalChecker:
         # Cache entries silently discarded as corrupt/unreadable during
         # this run become a visible note: corruption must be diagnosable.
         if self.cache is not None:
+            # A cache.db found unreadable mid-run was rebuilt, with a note.
+            stats.notes.extend(self.cache.notes)
+            del self.cache.notes[:]
             dropped = self.cache.drain_dropped()
             if dropped:
                 stats.notes.append(

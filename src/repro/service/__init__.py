@@ -12,12 +12,13 @@ Layers:
   cooperative cancellation, graceful drain on SIGTERM.
 * :mod:`repro.service.client` — a small blocking client used by tests,
   the chaos-load harness, and scripts.
-* :mod:`repro.service.locking` — advisory cache-directory locking
-  shared with :mod:`repro.incremental.cache`.
 
-This ``__init__`` stays import-light on purpose: the incremental cache
-imports :mod:`repro.service.locking`, so importing the server (which
-imports the cache) here would be circular.
+The worker threads share one :class:`repro.incremental.cache.ResultCache`;
+the cache's SQLite store is safe across threads and processes on its
+own, so the service adds no locking of its own.
+
+This ``__init__`` stays import-light on purpose: importing the server
+here would load asyncio and the cache for every user of the package.
 """
 
-__all__ = ["protocol", "server", "client", "locking"]
+__all__ = ["protocol", "server", "client"]

@@ -6,8 +6,9 @@ one the legacy ``--daemon`` spoke, so existing clients keep working).
 What the daemon could not do:
 
 * **concurrent sessions** — every connection is its own session; the
-  parsed prelude, the result cache, and the journal batcher are shared
-  process-wide, so one client's cold check warms everyone.
+  parsed prelude and the result cache are shared process-wide, so one
+  client's cold check warms everyone; each check's cache writes land
+  in one commit.
 * **backpressure** — admitted requests (queued + running) are bounded
   by ``max_inflight``; beyond it a client gets an immediate ``busy``
   reply carrying ``retry_after_ms`` instead of unbounded queueing.
@@ -334,8 +335,9 @@ class CheckingService:
         return payload
 
     async def shutdown(self) -> None:
-        """Graceful drain: stop accepting, finish admitted work, flush
-        the journal, close every session, release the workers."""
+        """Graceful drain: stop accepting, finish admitted work (each
+        check commits its own cache writes), close every session,
+        release the workers."""
         if self._draining:
             return
         self._draining = True
@@ -364,8 +366,6 @@ class CheckingService:
                 await server.wait_closed()
             except Exception:
                 pass
-        if self.cache is not None:
-            self.cache.flush_batch()
         if self._pool is not None:
             self._pool.shutdown(wait=True)
         if self.unix_path is not None:

@@ -5,9 +5,11 @@ than cold checks, parallel runs emit byte-identical output to serial
 runs, and a corrupted or version-mismatched cache silently rebuilds.
 """
 
+import gc
 import io
 import json
 import os
+import sqlite3
 import time
 
 import pytest
@@ -307,7 +309,7 @@ class TestDependencyValidatedHits:
         assert engine.stats.degraded_units == 1
         report = ResultCache(root).verify_integrity()
         # An exact key and a slot per healthy unit, nothing for bad.c.
-        assert report["journal"] == 2 * (engine.stats.units - 1)
+        assert report["results"] == 2 * (engine.stats.units - 1)
         assert report["corrupt"] == 0
         # The next run checks bad.c again, whatever else hits.
         edited = _with_erc_cap(files)
@@ -343,51 +345,75 @@ class TestWarmSpeedup:
         )
 
 
+def _sql(root, statement, args=()):
+    """Run one statement against the cache's database, behind its back."""
+    db = sqlite3.connect(os.path.join(root, "cache.db"))
+    try:
+        with db:
+            db.execute(statement, args)
+    finally:
+        db.close()
+
+
 class TestCorruptionTolerance:
-    def test_scribbled_cache_files_silently_rebuild(self, db_files, tmp_path):
+    def test_garbled_rows_are_dropped_noted_and_rewritten(
+        self, db_files, tmp_path
+    ):
         root = str(tmp_path / "c")
         first = IncrementalChecker(cache=ResultCache(root)).check_sources(
             dict(db_files)
         )
-        for sub in ("units", "results"):
-            directory = os.path.join(root, sub)
-            for name in os.listdir(directory):
-                with open(os.path.join(directory, name), "wb") as handle:
-                    handle.write(b"\x00garbage\xff" * 7)
+        _sql(root, "UPDATE entries SET data = ?", ("\x00garbage\xff",))
         engine = IncrementalChecker(cache=ResultCache(root))
         result = engine.check_sources(dict(db_files))
         assert engine.stats.cache_misses == engine.stats.units  # all rebuilt
+        assert engine.stats.memo_misses == engine.stats.units
         assert _renders(result) == _renders(first)
-        # ... and the rebuilt entries serve the next run.
+        assert any("corrupt" in note for note in engine.stats.notes)
+        # ... and the rewritten entries serve the next run.
         again = IncrementalChecker(cache=ResultCache(root))
         again.check_sources(dict(db_files))
         assert again.stats.cache_misses == 0
+        assert ResultCache(root).verify_integrity()["corrupt"] == 0
 
     def test_version_mismatch_is_a_warning_not_a_crash(self, db_files, tmp_path):
         root = str(tmp_path / "c")
         IncrementalChecker(cache=ResultCache(root)).check_sources(dict(db_files))
-        with open(os.path.join(root, "meta.json"), "w") as handle:
-            json.dump({"format": CACHE_FORMAT_VERSION + 9, "engine": 0}, handle)
+        _sql(root, "UPDATE meta SET format = ?", (CACHE_FORMAT_VERSION + 9,))
         cache = ResultCache(root)
         assert any("rebuilding" in n for n in cache.notes)
         engine = IncrementalChecker(cache=cache)
         result = engine.check_sources(dict(db_files))
+        assert engine.stats.cache_misses == engine.stats.units
         assert any("rebuilding" in n for n in engine.stats.notes)
         assert _renders(result) == _renders(Checker().check_sources(dict(db_files)))
 
-    def test_truncated_meta_and_results_via_cli(self, tmp_path):
+    @pytest.mark.parametrize("damage", ["garbage", "truncated"])
+    def test_unreadable_cache_db_via_cli(self, tmp_path, damage):
         # Through the CLI: a trashed cache must only change timings.
         src = tmp_path / "one.c"
         src.write_text("#include <stdlib.h>\nvoid f(char *p) { free(p); }\n")
         cache_dir = str(tmp_path / "cache")
         status1, out1 = run(["--cache-dir", cache_dir, str(src)])
-        with open(os.path.join(cache_dir, "meta.json"), "w") as handle:
-            handle.write("}{")
+        # Close the first run's cache, as its process exit would: that
+        # folds the write-ahead log into cache.db, the file damaged below.
+        gc.collect()
+        path = os.path.join(cache_dir, "cache.db")
+        assert not os.path.exists(path + "-wal")
+        if damage == "garbage":
+            with open(path, "wb") as handle:
+                handle.write(b"\x00garbage\xff" * 700)
+        else:
+            with open(path, "r+b") as handle:
+                handle.truncate(os.path.getsize(path) // 2)
         status2, out2 = run(["--cache-dir", cache_dir, str(src)])
         assert status1 == status2
+        assert "is unreadable; rebuilding" in out2
         assert [l for l in out1.splitlines() if "warning:" not in l] == [
             l for l in out2.splitlines() if "warning:" not in l
         ]
+        status3, out3 = run(["--cache-dir", cache_dir, str(src)])
+        assert (status3, out3) == (status1, out1)
 
 
 class TestDaemon:

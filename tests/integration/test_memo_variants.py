@@ -10,6 +10,7 @@ memo can never hit.
 """
 
 import os
+import sqlite3
 
 from repro.core.api import Checker
 from repro.incremental import IncrementalChecker, ResultCache
@@ -63,8 +64,24 @@ def _check(root: str, header: str) -> IncrementalChecker:
 
 def _base_memos(engine: IncrementalChecker) -> set[str]:
     return {
-        source_key(name, text, engine.defines) + ".pkl"
-        for name, text in UNITS.items()
+        source_key(name, text, engine.defines) for name, text in UNITS.items()
+    }
+
+
+def _memo_sql(root: str, statement: str, args=()) -> list:
+    """Run one statement over the cache's memo rows, behind its back."""
+    db = sqlite3.connect(os.path.join(root, "cache.db"))
+    try:
+        with db:
+            return db.execute(statement, args).fetchall()
+    finally:
+        db.close()
+
+
+def _memo_keys(root: str) -> set[str]:
+    return {
+        key for (key,) in
+        _memo_sql(root, "SELECT key FROM entries WHERE kind = 'memo'")
     }
 
 
@@ -95,14 +112,15 @@ class TestMemoVariants:
     def test_corrupt_variant_is_dropped_and_noted(self, tmp_path):
         root = str(tmp_path / "cache")
         first = _check(root, HEADER_A)
-        units_dir = os.path.join(root, "units")
-        variants_a = set(os.listdir(units_dir)) - _base_memos(first)
+        variants_a = _memo_keys(root) - _base_memos(first)
         # One variant per unit, keyed by its closure under header A.
         assert len(variants_a) == 3
         _check(root, HEADER_B)
-        for name in variants_a:
-            with open(os.path.join(units_dir, name), "wb") as handle:
-                handle.write(b"\x00 not a pickle")
+        for key in variants_a:
+            _memo_sql(
+                root, "UPDATE entries SET data = ? "
+                "WHERE kind = 'memo' AND key = ?", ("\x00 not json", key),
+            )
         reverted = _check(root, HEADER_A)
         # plain.c's base memo still matches; the two header users fall
         # back to its (corrupt) variant, which is dropped and noted.
@@ -119,6 +137,4 @@ class TestMemoVariants:
             _check(root, header)
         report = ResultCache(root).verify_integrity()
         assert report["corrupt"] == 0
-        assert report["unit_memos"] == len(
-            os.listdir(os.path.join(root, "units"))
-        )
+        assert report["unit_memos"] == len(_memo_keys(root))

@@ -9,6 +9,7 @@ is byte-identical to the classic path.
 import io
 import json
 import os
+import sqlite3
 
 import pytest
 
@@ -163,15 +164,18 @@ class TestDroppedEntrySurfacing:
         root = str(tmp_path / "cache")
         first = IncrementalChecker(cache=ResultCache(root))
         first.check_sources(dict(files))
-        # The base memo of one unit: the units directory also holds memo
-        # variants, which a run whose headers are unchanged never reads.
+        # The base memo of one unit: the cache also holds memo variants,
+        # which a run whose headers are unchanged never reads.
         name = sorted(n for n in files if n.endswith(".c"))[0]
-        victim = os.path.join(
-            root, "units", source_key(name, files[name], first.defines) + ".pkl"
-        )
-        assert os.path.exists(victim)
-        with open(victim, "wb") as handle:
-            handle.write(b"\x00 corrupt")
+        db = sqlite3.connect(os.path.join(root, "cache.db"))
+        with db:
+            garbled = db.execute(
+                "UPDATE entries SET data = '{corrupt' "
+                "WHERE kind = 'memo' AND key = ?",
+                (source_key(name, files[name], first.defines),),
+            ).rowcount
+        db.close()
+        assert garbled == 1
         engine = IncrementalChecker(cache=ResultCache(root))
         engine.check_sources(dict(files))
         assert any("dropped 1 corrupt" in note for note in

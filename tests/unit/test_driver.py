@@ -251,7 +251,7 @@ class TestCliIncrementalOptions:
         assert (status1, out1) == (status2, out2)
         import os
 
-        assert os.path.isdir(os.path.join(cache_dir, "results"))
+        assert os.path.isfile(os.path.join(cache_dir, "cache.db"))
 
     def test_no_cache_wins(self, sample_file, tmp_path):
         cache_dir = str(tmp_path / "cache")
@@ -259,7 +259,7 @@ class TestCliIncrementalOptions:
         assert status == 1
         import os
 
-        assert not os.path.isdir(os.path.join(cache_dir, "results"))
+        assert not os.path.exists(os.path.join(cache_dir, "cache.db"))
 
     def test_incremental_stats_rendered(self, sample_file, tmp_path):
         _, output = run(

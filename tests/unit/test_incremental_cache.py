@@ -1,7 +1,9 @@
 """Tests for the fingerprint layer and the on-disk result cache."""
 
+import gc
 import json
 import os
+import sqlite3
 
 import pytest
 
@@ -116,6 +118,54 @@ def _message(line: int = 3) -> Message:
     )
 
 
+def _sql(root, statement, args=()):
+    """Run one statement against a cache's database, behind its back;
+    returns the fetched rows."""
+    db = sqlite3.connect(os.path.join(root, "cache.db"))
+    try:
+        with db:
+            return db.execute(statement, args).fetchall()
+    finally:
+        db.close()
+
+
+def _rows(root, kind, key):
+    return _sql(
+        root, "SELECT count(*) FROM entries WHERE kind = ? AND key = ?",
+        (kind, key),
+    )[0][0]
+
+
+def _wal_commits(root) -> int:
+    """Commit records in the cache's write-ahead log: frames of the log's
+    current generation (matching salts) that carry a database size."""
+    with open(os.path.join(root, "cache.db-wal"), "rb") as handle:
+        wal = handle.read()
+    page_size = int.from_bytes(wal[8:12], "big")
+    salts = wal[16:24]
+    return sum(
+        1 for at in range(32, len(wal), 24 + page_size)
+        if wal[at + 8:at + 16] == salts and any(wal[at + 4:at + 8])
+    )
+
+
+def _memo() -> UnitMemo:
+    return UnitMemo(
+        token_digest="t" * 8,
+        iface_digest="i" * 8,
+        iface_pickle=b"\x80\x04N.",  # pickled None
+        includes=[("h.h", "s" * 8)],
+        enum_consts={"LIMIT": 4},
+    )
+
+
+def _registry_cache(tmp_path):
+    from repro.obs.metrics import MetricsRegistry
+
+    registry = MetricsRegistry()
+    return ResultCache(str(tmp_path / "c"), metrics=registry), registry
+
+
 class TestResultCache:
     FP = "ab" * 32
 
@@ -135,17 +185,16 @@ class TestResultCache:
     def test_corrupted_result_is_a_miss_and_discarded(self, tmp_path):
         cache = ResultCache(str(tmp_path / "c"))
         cache.put_result(self.FP, [_message()], suppressed=0)
-        victim = os.path.join(cache.root, "results", self.FP + ".json")
-        with open(victim, "w") as handle:
-            handle.write('{"messages": [[[[ GARBAGE')
+        _sql(cache.root, "UPDATE entries SET data = ?",
+             ('{"messages": [[[[ GARBAGE',))
         assert cache.get_result(self.FP) is None
-        assert not os.path.exists(victim)
+        assert _rows(cache.root, "result", self.FP) == 0
 
     def test_wrong_shape_json_is_a_miss(self, tmp_path):
         cache = ResultCache(str(tmp_path / "c"))
-        victim = os.path.join(cache.root, "results", self.FP + ".json")
-        with open(victim, "w") as handle:
-            json.dump({"messages": [{"nope": 1}], "suppressed": 0}, handle)
+        _sql(cache.root, "INSERT INTO entries VALUES ('result', ?, ?, NULL)",
+             (self.FP, json.dumps({"messages": [{"nope": 1}],
+                                   "suppressed": 0})))
         assert cache.get_result(self.FP) is None
 
     def test_slot_round_trip(self, tmp_path):
@@ -159,74 +208,119 @@ class TestResultCache:
         cache.put_result("cd" * 32, [], suppressed=0)
         assert cache.get_slot("cd" * 32) is None
 
-    def test_slots_share_the_batched_journal(self, tmp_path):
-        root = str(tmp_path / "c")
-        cache = ResultCache(root)
+    def test_slots_and_results_share_one_batch(self, tmp_path):
+        cache, registry = _registry_cache(tmp_path)
         with cache.batch():
             cache.put_result(self.FP, [_message()], suppressed=0)
             cache.put_slot("cd" * 32, [_message()], 0, ("f:f",), "de" * 32)
-        reopened = ResultCache(root)
+        assert registry.count("cache.commits") == 1
+        reopened = ResultCache(cache.root)
         assert reopened.get_slot("cd" * 32)[2] == ("f:f",)
-        assert reopened.verify_integrity()["journal"] == 2
-        assert reopened.verify_integrity()["corrupt"] == 0
+        assert reopened.verify_integrity() == {
+            "results": 2, "unit_memos": 0, "corrupt": 0,
+        }
 
     def test_corrupt_slot_is_dropped_and_counted(self, tmp_path):
-        root = str(tmp_path / "c")
-        cache = ResultCache(root)
-        victim = os.path.join(cache.root, "results", self.FP + ".json")
-        with open(victim, "w") as handle:
-            json.dump({"messages": [], "suppressed": 0, "reads": "f:f",
-                       "deps": "de" * 32}, handle)
+        cache = ResultCache(str(tmp_path / "c"))
+        _sql(cache.root, "INSERT INTO entries VALUES ('result', ?, ?, NULL)",
+             (self.FP, json.dumps({"messages": [], "suppressed": 0,
+                                   "reads": "f:f", "deps": "de" * 32})))
         assert cache.verify_integrity()["corrupt"] == 1
         assert cache.get_slot(self.FP) is None
-        assert not os.path.exists(victim)
-        assert cache.drain_dropped() >= 1
+        assert _rows(cache.root, "result", self.FP) == 0
+        assert cache.drain_dropped() == 1
+        assert cache.verify_integrity()["corrupt"] == 0
 
     def test_version_mismatch_rebuilds(self, tmp_path):
         root = str(tmp_path / "c")
         cache = ResultCache(root)
         cache.put_result(self.FP, [_message()], suppressed=0)
-        with open(os.path.join(root, "meta.json"), "w") as handle:
-            json.dump({"format": CACHE_FORMAT_VERSION + 1, "engine": 0}, handle)
+        _sql(root, "UPDATE meta SET format = ?", (CACHE_FORMAT_VERSION + 1,))
         reopened = ResultCache(root)
-        assert reopened.get_result(self.FP) is None  # wiped
-        assert any("rebuilding" in note for note in reopened.notes)
+        assert reopened.get_result(self.FP) is None  # cleared
+        assert any("different version; rebuilding" in note
+                   for note in reopened.notes)
+        assert ResultCache(root).notes == []  # restamped
 
-    def test_garbage_meta_rebuilds(self, tmp_path):
+    @pytest.mark.parametrize("damage", ["garbage", "truncated", "empty"])
+    def test_unreadable_database_is_rebuilt(self, tmp_path, damage):
         root = str(tmp_path / "c")
-        ResultCache(root)
-        with open(os.path.join(root, "meta.json"), "w") as handle:
-            handle.write("not json at all {{{")
-        reopened = ResultCache(root)
-        assert reopened.get_result(self.FP) is None
+        cache = ResultCache(root)
+        with cache.batch():
+            for i in range(40):
+                cache.put_result(f"{i:064x}", [_message()], suppressed=i)
+        del cache
+        gc.collect()  # close it, folding the write-ahead log into cache.db
+        path = os.path.join(root, "cache.db")
+        if damage == "garbage":
+            with open(path, "wb") as handle:
+                handle.write(b"not a database at all {{{" * 200)
+        elif damage == "truncated":
+            with open(path, "r+b") as handle:
+                handle.truncate(os.path.getsize(path) // 2)
+        else:
+            open(path, "wb").close()
+        cache, registry = _registry_cache(tmp_path)
+        if damage == "empty":
+            # An empty file is a new database, not a damaged one.
+            assert cache.notes == []
+            assert registry.count("cache.wipes") == 0
+        else:
+            assert any("is unreadable; rebuilding" in note
+                       for note in cache.notes)
+            assert registry.count("cache.wipes") == 1
+        assert cache.get_result(f"{1:064x}") is None
+        cache.put_result(self.FP, [_message()], suppressed=3)
+        assert ResultCache(root).get_result(self.FP)[1] == 3
+        assert cache.verify_integrity()["corrupt"] == 0
+
+    def test_damaged_page_is_flagged(self, tmp_path):
+        root = str(tmp_path / "c")
+        cache = ResultCache(root)
+        with cache.batch():
+            for i in range(60):
+                cache.put_result(f"{i:064x}", [_message()], suppressed=i)
+        del cache
+        gc.collect()
+        path = os.path.join(root, "cache.db")
+        size = os.path.getsize(path)
+        with open(path, "r+b") as handle:  # scribble over the last page
+            handle.seek(size - 4000)
+            handle.write(b"\xff" * 2000)
+        cache = ResultCache(root)
+        assert cache.notes == []  # the header and schema are intact
+        assert cache.verify_integrity()["corrupt"] >= 1
+        # A read that meets the damage rebuilds the file and misses.
+        for i in range(60):
+            cache.get_result(f"{i:064x}")
+        assert any("is unreadable; rebuilding" in n for n in cache.notes)
+        assert cache.verify_integrity() == {
+            "results": 0, "unit_memos": 0, "corrupt": 0,
+        }
 
     def test_unit_memo_round_trip(self, tmp_path):
         cache = ResultCache(str(tmp_path / "c"))
-        memo = UnitMemo(
-            token_digest="t" * 8,
-            iface_digest="i" * 8,
-            iface_pickle=b"\x80\x04N.",  # pickled None
-            includes=[("h.h", "s" * 8)],
-            enum_consts={"LIMIT": 4},
-        )
-        cache.put_unit_memo(self.FP, memo)
-        loaded = cache.get_unit_memo(self.FP)
-        assert loaded is not None
-        assert loaded.token_digest == memo.token_digest
-        assert loaded.includes == memo.includes
-        assert loaded.enum_consts == {"LIMIT": 4}
+        cache.put_unit_memo(self.FP, _memo())
+        assert ResultCache(cache.root).get_unit_memo(self.FP) == _memo()
+        # Stored as fields: only the interface slice is a pickle.
+        data, blob = _sql(cache.root, "SELECT data, blob FROM entries")[0]
+        assert json.loads(data)["includes"] == [["h.h", "s" * 8]]
+        assert blob == _memo().iface_pickle
 
     def test_corrupted_unit_memo_is_a_miss(self, tmp_path):
         cache = ResultCache(str(tmp_path / "c"))
-        victim = os.path.join(cache.root, "units", self.FP + ".pkl")
-        with open(victim, "wb") as handle:
-            handle.write(b"\x80\x04 truncated garbage")
+        cache.put_unit_memo(self.FP, _memo())
+        _sql(cache.root, "UPDATE entries SET blob = NULL")
         assert cache.get_unit_memo(self.FP) is None
+        assert _rows(cache.root, "memo", self.FP) == 0
 
     def test_non_hex_key_rejected(self, tmp_path):
         cache = ResultCache(str(tmp_path / "c"))
-        with pytest.raises(ValueError):
-            cache.get_result("../../../etc/passwd")
+        for key in ("../../../etc/passwd", "", "AB", "ab cd"):
+            with pytest.raises(ValueError):
+                cache.get_result(key)
+            with pytest.raises(ValueError):
+                cache.put_unit_memo(key, _memo())
 
 
 class TestDroppedEntryAccounting:
@@ -234,47 +328,39 @@ class TestDroppedEntryAccounting:
 
     FP = "ab" * 32
 
-    def _cache(self, tmp_path):
-        from repro.obs.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
-        return ResultCache(str(tmp_path / "c"), metrics=registry), registry
-
     def test_fresh_cache_has_no_drops(self, tmp_path):
-        cache, registry = self._cache(tmp_path)
+        cache, registry = _registry_cache(tmp_path)
         assert cache.dropped == 0
         assert registry.count("cache.entries.dropped") == 0
 
     def test_plain_miss_is_not_a_drop(self, tmp_path):
-        cache, registry = self._cache(tmp_path)
+        cache, registry = _registry_cache(tmp_path)
         assert cache.get_result("cd" * 32) is None
         assert cache.get_unit_memo("cd" * 32) is None
         assert cache.drain_dropped() == 0
         assert registry.count("cache.entries.dropped") == 0
 
     def test_corrupt_result_counts_one_drop(self, tmp_path):
-        cache, registry = self._cache(tmp_path)
-        victim = os.path.join(cache.root, "results", self.FP + ".json")
-        with open(victim, "w") as handle:
-            handle.write("not json at all")
+        cache, registry = _registry_cache(tmp_path)
+        cache.put_result(self.FP, [], suppressed=0)
+        _sql(cache.root, "UPDATE entries SET data = 'not json at all'")
         assert cache.get_result(self.FP) is None
+        assert cache.get_result(self.FP) is None  # deleted: a plain miss
         assert cache.dropped == 1
         assert registry.count("cache.entries.dropped") == 1
 
     def test_corrupt_memo_counts_one_drop(self, tmp_path):
-        cache, registry = self._cache(tmp_path)
-        victim = os.path.join(cache.root, "units", self.FP + ".pkl")
-        with open(victim, "wb") as handle:
-            handle.write(b"\x80\x04 truncated garbage")
+        cache, registry = _registry_cache(tmp_path)
+        cache.put_unit_memo(self.FP, _memo())
+        _sql(cache.root, "UPDATE entries SET data = '{\"token_digest\": 1}'")
         assert cache.get_unit_memo(self.FP) is None
         assert cache.dropped == 1
         assert registry.count("cache.entries.dropped") == 1
 
     def test_drain_returns_and_resets(self, tmp_path):
-        cache, registry = self._cache(tmp_path)
-        victim = os.path.join(cache.root, "results", self.FP + ".json")
-        with open(victim, "w") as handle:
-            handle.write("garbage")
+        cache, registry = _registry_cache(tmp_path)
+        cache.put_result(self.FP, [], suppressed=0)
+        _sql(cache.root, "UPDATE entries SET data = 'garbage'")
         cache.get_result(self.FP)
         assert cache.drain_dropped() == 1
         assert cache.drain_dropped() == 0
@@ -282,7 +368,7 @@ class TestDroppedEntryAccounting:
         assert registry.count("cache.entries.dropped") == 1
 
     def test_fresh_cache_layout_is_not_a_wipe(self, tmp_path):
-        _, registry = self._cache(tmp_path)
+        _, registry = _registry_cache(tmp_path)
         assert registry.count("cache.wipes") == 0
 
     def test_version_mismatch_counts_a_wipe(self, tmp_path):
@@ -290,215 +376,197 @@ class TestDroppedEntryAccounting:
 
         root = str(tmp_path / "c")
         ResultCache(root)
-        meta = os.path.join(root, "meta.json")
-        with open(meta, "w") as handle:
-            json.dump({"format": -1, "engine": "other"}, handle)
+        _sql(root, "UPDATE meta SET format = -1, engine = 'other'")
         registry = MetricsRegistry()
         ResultCache(root, metrics=registry)
         assert registry.count("cache.wipes") == 1
 
 
-class TestResultJournal:
+class TestFormat1Layout:
+    """A directory written by the per-file layout (format 1) is a
+    version mismatch: its files go, the prelude and crash bundles stay."""
+
+    FP = "ab" * 32
+
+    def _format_1_dir(self, root):
+        os.makedirs(os.path.join(root, "units"))
+        os.makedirs(os.path.join(root, "results"))
+        os.makedirs(os.path.join(root, "crashes"))
+        os.makedirs(os.path.join(root, "prelude"))
+        files = {
+            "meta.json": json.dumps({"format": 1, "engine": 3}),
+            "lock": "",
+            os.path.join("units", self.FP + ".pkl"): "\x80\x04N.",
+            os.path.join("results", self.FP + ".json"): json.dumps(
+                {"messages": [], "suppressed": 0}
+            ),
+            os.path.join("results", "journal.jsonl"): json.dumps(
+                {"fp": "cd" * 32, "messages": [], "suppressed": 0}
+            ) + "\n",
+            os.path.join("crashes", "crash-1.json"): "{}",
+            os.path.join("prelude", "snapshot.pkl"): "x",
+        }
+        for name, text in files.items():
+            with open(os.path.join(root, name), "w") as handle:
+                handle.write(text)
+
+    def test_first_open_removes_the_old_layout(self, tmp_path):
+        root = str(tmp_path / "c")
+        self._format_1_dir(root)
+        cache, registry = _registry_cache(tmp_path)
+        assert sorted(os.listdir(root)) == [
+            "cache.db", "cache.db-shm", "cache.db-wal", "crashes", "prelude",
+        ]
+        assert os.listdir(os.path.join(root, "crashes")) == ["crash-1.json"]
+        assert os.listdir(os.path.join(root, "prelude")) == ["snapshot.pkl"]
+        assert [n for n in cache.notes if "rebuilding" in n] == [
+            f"cache at {root} has a different version; rebuilding"
+        ]
+        assert registry.count("cache.wipes") == 1
+        assert cache.get_result(self.FP) is None
+        assert cache.get_result("cd" * 32) is None
+        cache.put_result(self.FP, [_message()], suppressed=1)
+        again, registry = _registry_cache(tmp_path)
+        assert again.notes == []
+        assert registry.count("cache.wipes") == 0
+        assert again.get_result(self.FP)[1] == 1
+
+    def test_engine_run_over_an_old_directory(self, tmp_path):
+        from repro.incremental import IncrementalChecker
+
+        root = str(tmp_path / "c")
+        self._format_1_dir(root)
+        files = {"one.c": "#include <stdlib.h>\n"
+                          "void f(char *p) { free(p); }\n"}
+        engine = IncrementalChecker(cache=ResultCache(root))
+        result = engine.check_sources(dict(files))
+        assert any("different version" in n for n in engine.stats.notes)
+        assert result.render() == Checker().check_sources(files).render()
+        warm = IncrementalChecker(cache=ResultCache(root))
+        warm.check_sources(dict(files))
+        assert warm.stats.cache_hits == warm.stats.units == 1
+
+
+class TestStoreBatches:
     FP1 = "ab" * 32
     FP2 = "cd" * 32
-    FP3 = "ef" * 32
 
-    def _registry_cache(self, tmp_path):
-        from repro.obs.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
-        return ResultCache(str(tmp_path / "c"), metrics=registry), registry
-
-    def _journal_path(self, cache):
-        return os.path.join(cache.root, "results", "journal.jsonl")
-
-    def test_batch_is_one_append_not_per_unit_files(self, tmp_path):
-        cache, registry = self._registry_cache(tmp_path)
+    def test_batch_is_one_commit(self, tmp_path):
+        cache, registry = _registry_cache(tmp_path)
+        commits = _wal_commits(cache.root)
         with cache.batch():
             cache.put_result(self.FP1, [_message()], suppressed=0)
             cache.put_result(self.FP2, [_message()], suppressed=1)
-        # One flush for the whole batch; no per-fingerprint files yet.
-        assert registry.count("cache.journal.flushes") == 1
-        assert registry.count("cache.journal.entries") == 2
-        assert not os.path.exists(
-            os.path.join(cache.root, "results", self.FP1 + ".json")
-        )
-        lines = open(self._journal_path(cache)).read().splitlines()
-        assert len(lines) == 2
+            cache.put_unit_memo(self.FP1, _memo())
+            assert registry.count("cache.commits") == 0
+            # Not committed yet: another instance cannot see the puts.
+            assert ResultCache(cache.root).get_result(self.FP1) is None
+        assert registry.count("cache.commits") == 1
+        assert registry.count("cache.entries.written") == 3
+        assert _wal_commits(cache.root) == commits + 1
+        fresh = ResultCache(cache.root)
+        assert fresh.get_result(self.FP2)[1] == 1
+        assert fresh.get_unit_memo(self.FP1) == _memo()
 
     def test_batched_results_visible_before_and_after_flush(self, tmp_path):
-        cache, _ = self._registry_cache(tmp_path)
+        cache, _ = _registry_cache(tmp_path)
         with cache.batch():
             cache.put_result(self.FP1, [_message()], suppressed=3)
             # Visible mid-batch (the engine re-reads what it wrote).
             assert cache.get_result(self.FP1)[1] == 3
         assert cache.get_result(self.FP1)[1] == 3
 
-    def test_journal_survives_reopen(self, tmp_path):
-        cache, _ = self._registry_cache(tmp_path)
+    def test_results_survive_reopen(self, tmp_path):
+        cache, _ = _registry_cache(tmp_path)
         with cache.batch():
             cache.put_result(self.FP1, [_message()], suppressed=2)
-        reopened = ResultCache(cache.root)
+        del cache
+        gc.collect()
+        reopened = ResultCache(str(tmp_path / "c"))
         loaded = reopened.get_result(self.FP1)
         assert loaded is not None
         assert loaded[1] == 2
 
-    def test_nested_batches_flush_once_at_outermost_exit(self, tmp_path):
-        cache, registry = self._registry_cache(tmp_path)
+    def test_nested_batches_commit_once_at_outermost_exit(self, tmp_path):
+        cache, registry = _registry_cache(tmp_path)
         with cache.batch():
             cache.put_result(self.FP1, [_message()], suppressed=0)
             with cache.batch():
                 cache.put_result(self.FP2, [_message()], suppressed=0)
-            assert registry.count("cache.journal.flushes") == 0
-        assert registry.count("cache.journal.flushes") == 1
+            assert registry.count("cache.commits") == 0
+        assert registry.count("cache.commits") == 1
+        assert _wal_commits(cache.root) == 2  # the schema's, then the batch's
+        assert ResultCache(cache.root).get_result(self.FP2) is not None
 
-    def test_unbatched_put_is_an_immediate_file_write(self, tmp_path):
-        cache, registry = self._registry_cache(tmp_path)
+    def test_unbatched_put_is_visible_to_a_fresh_instance(self, tmp_path):
+        cache, registry = _registry_cache(tmp_path)
         cache.put_result(self.FP1, [_message()], suppressed=0)
-        assert os.path.exists(
-            os.path.join(cache.root, "results", self.FP1 + ".json")
-        )
-        assert registry.count("cache.journal.flushes") == 0
-
-    def test_mid_append_kill_heals_on_next_load(self, tmp_path):
-        # A process killed mid-append leaves a truncated final line; the
-        # next open drops exactly that line and rewrites the journal so
-        # the corruption is reported once, not on every run.
-        cache, _ = self._registry_cache(tmp_path)
-        with cache.batch():
-            cache.put_result(self.FP1, [_message()], suppressed=5)
-            cache.put_result(self.FP2, [_message()], suppressed=6)
-        path = self._journal_path(cache)
-        whole = open(path, "rb").read()
-        with open(path, "wb") as handle:
-            handle.write(whole[: len(whole) - 40])  # torn final append
-        from repro.obs.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
-        healed = ResultCache(cache.root, metrics=registry)
-        assert healed.get_result(self.FP1)[1] == 5  # intact prefix kept
-        assert healed.get_result(self.FP2) is None  # torn line dropped
-        assert registry.count("cache.journal.healed") == 1
-        assert healed.dropped == 1
-        # Healed: reopening again reports no further corruption.
-        registry2 = MetricsRegistry()
-        again = ResultCache(cache.root, metrics=registry2)
-        assert registry2.count("cache.journal.healed") == 0
-        assert again.verify_integrity()["corrupt"] == 0
-
-    def test_garbage_journal_line_is_dropped_not_fatal(self, tmp_path):
-        cache, _ = self._registry_cache(tmp_path)
-        with cache.batch():
-            cache.put_result(self.FP1, [_message()], suppressed=0)
-        with open(self._journal_path(cache), "ab") as handle:
-            handle.write(b"\x00\xffnot json at all\n")
-            handle.write(b'{"fp": "zz", "messages": [], "suppressed": 0}\n')
-        reopened = ResultCache(cache.root)
-        assert reopened.get_result(self.FP1) is not None
-        assert reopened.dropped == 2
-
-    def test_compaction_folds_into_files_and_truncates(self, tmp_path):
-        cache, registry = self._registry_cache(tmp_path)
-        with cache.batch():
-            cache.put_result(self.FP1, [_message()], suppressed=1)
-            cache.put_result(self.FP2, [_message()], suppressed=2)
-        cache.compact_journal()
-        assert registry.count("cache.journal.compactions") == 1
-        assert os.path.getsize(self._journal_path(cache)) == 0
-        for fp, suppressed in ((self.FP1, 1), (self.FP2, 2)):
-            assert os.path.exists(
-                os.path.join(cache.root, "results", fp + ".json")
-            )
-            assert cache.get_result(fp)[1] == suppressed
-
-    def test_oversized_journal_compacts_on_load(self, tmp_path, monkeypatch):
-        from repro.incremental import cache as cache_mod
-
-        monkeypatch.setattr(cache_mod, "JOURNAL_COMPACT_ENTRIES", 2)
-        cache, _ = self._registry_cache(tmp_path)
-        with cache.batch():
-            for fp in (self.FP1, self.FP2, self.FP3):
-                cache.put_result(fp, [_message()], suppressed=0)
-        # The flush itself compacts once past the (patched) threshold.
-        assert os.path.getsize(self._journal_path(cache)) == 0
-        reopened = ResultCache(cache.root)
-        for fp in (self.FP1, self.FP2, self.FP3):
-            assert reopened.get_result(fp) is not None
+        assert registry.count("cache.commits") == 1
+        assert ResultCache(cache.root).get_result(self.FP1) is not None
 
     def test_bad_fingerprint_fails_at_put_even_in_a_batch(self, tmp_path):
-        cache, _ = self._registry_cache(tmp_path)
+        cache, _ = _registry_cache(tmp_path)
         with pytest.raises(ValueError):
             with cache.batch():
                 cache.put_result("not-hex", [_message()], suppressed=0)
 
-    def test_compaction_rereads_disk_under_the_lock(self, tmp_path):
-        # Another process's appended entries must survive a compaction
-        # that started before they landed: compact folds what is on
-        # disk, not a possibly stale in-memory view.
-        cache, _ = self._registry_cache(tmp_path)
-        with cache.batch():
-            cache.put_result(self.FP1, [_message()], suppressed=1)
-        other = ResultCache(cache.root)
-        with other.batch():
-            other.put_result(self.FP2, [_message()], suppressed=2)
-        cache.compact_journal()  # never saw FP2 in memory
-        fresh = ResultCache(cache.root)
-        assert fresh.get_result(self.FP1)[1] == 1
-        assert fresh.get_result(self.FP2)[1] == 2
-        assert fresh.verify_integrity()["corrupt"] == 0
-
     def test_verify_integrity_counts_and_flags(self, tmp_path):
-        cache, _ = self._registry_cache(tmp_path)
+        cache, _ = _registry_cache(tmp_path)
         cache.put_result(self.FP1, [_message()], suppressed=0)
         with cache.batch():
             cache.put_result(self.FP2, [_message()], suppressed=0)
-        report = cache.verify_integrity()
-        assert report["results"] == 1
-        assert report["journal"] == 1
-        assert report["corrupt"] == 0
-        # Corrupt a per-fingerprint file: the report flags it.
-        victim = os.path.join(cache.root, "results", self.FP1 + ".json")
-        with open(victim, "w") as handle:
-            handle.write("{broken")
-        fresh = ResultCache(cache.root)
-        assert fresh.verify_integrity()["corrupt"] >= 1
+            cache.put_unit_memo(self.FP1, _memo())
+        assert cache.verify_integrity() == {
+            "results": 2, "unit_memos": 1, "corrupt": 0,
+        }
+        _sql(cache.root, "UPDATE entries SET data = '{broken' "
+             "WHERE kind = 'result' AND key = ?", (self.FP1,))
+        _sql(cache.root, "INSERT INTO entries VALUES ('other', ?, '', NULL)",
+             (self.FP1,))
+        assert ResultCache(cache.root).verify_integrity() == {
+            "results": 1, "unit_memos": 1, "corrupt": 2,
+        }
 
 
-@pytest.mark.skipif(
-    not hasattr(os, "fork"), reason="needs fork for a two-process stress"
+def _put_batches(root, writer_id, batches, per_batch=3):
+    """Commit *batches* batches of results keyed by writer, batch and
+    row; the suppressed count is the batch number."""
+    cache = ResultCache(root)
+    for b in range(batches):
+        with cache.batch():
+            for row in range(per_batch):
+                cache.put_result(
+                    f"{writer_id:02x}{b:058x}{row:04x}", [_message()],
+                    suppressed=b,
+                )
+            assert cache.get_result(f"{writer_id:02x}{b:058x}{0:04x}")
+
+
+needs_fork = pytest.mark.skipif(
+    not hasattr(os, "fork"), reason="needs fork for a multi-process test"
 )
-class TestConcurrentCompaction:
-    """Two writers interleaving appends with compactions lose nothing.
 
-    This is the regression test for the fold-then-truncate race: before
-    compaction took ``CacheDirLock`` and re-read the journal from disk,
-    a compactor could truncate away entries another process appended
-    after the compactor's in-memory snapshot, silently dropping results.
-    """
 
-    PER_CHILD = 120
+@needs_fork
+class TestConcurrentWriters:
+    """Two processes interleaving batches on one cache lose nothing."""
 
-    def _child(self, root, child_id, start_evt):
-        cache = ResultCache(root)
+    BATCHES = 60
+
+    def _child(self, root, writer_id, start_evt):
         start_evt.wait(10)
-        for i in range(self.PER_CHILD):
-            fp = f"{child_id:02x}{i:062x}"
-            with cache.batch():
-                cache.put_result(fp, [_message()], suppressed=i)
-            if i % 7 == 0:
-                cache.compact_journal()
-        cache.compact_journal()
+        _put_batches(root, writer_id, self.BATCHES)
 
     def test_no_result_lost_and_integrity_holds(self, tmp_path):
         import multiprocessing
 
         ctx = multiprocessing.get_context("fork")
         root = str(tmp_path / "c")
-        ResultCache(root)  # lay down the directory skeleton once
+        ResultCache(root)  # create and stamp the database once
         start_evt = ctx.Event()
         children = [
-            ctx.Process(target=self._child, args=(root, cid, start_evt))
-            for cid in (1, 2)
+            ctx.Process(target=self._child, args=(root, wid, start_evt))
+            for wid in (1, 2)
         ]
         for proc in children:
             proc.start()
@@ -507,10 +575,142 @@ class TestConcurrentCompaction:
             proc.join(60)
             assert proc.exitcode == 0
         fresh = ResultCache(root)
-        for cid in (1, 2):
-            for i in range(self.PER_CHILD):
-                fp = f"{cid:02x}{i:062x}"
-                found = fresh.get_result(fp)
-                assert found is not None, f"lost result {fp}"
-                assert found[1] == i
-        assert fresh.verify_integrity()["corrupt"] == 0
+        for wid in (1, 2):
+            for b in range(self.BATCHES):
+                for row in range(3):
+                    found = fresh.get_result(f"{wid:02x}{b:058x}{row:04x}")
+                    assert found is not None, f"lost {wid}/{b}/{row}"
+                    assert found[1] == b
+        assert fresh.verify_integrity() == {
+            "results": 2 * self.BATCHES * 3, "unit_memos": 0, "corrupt": 0,
+        }
+
+
+@needs_fork
+class TestCrashConsistency:
+    def test_sigkilled_writer_leaves_a_clean_store(self, tmp_path):
+        import signal
+        import time
+
+        root = str(tmp_path / "c")
+        ResultCache(root)
+        pid = os.fork()
+        if pid == 0:  # child: write until killed
+            try:
+                _put_batches(root, 1, 10 ** 6)
+            finally:
+                os._exit(1)
+        time.sleep(0.3)
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        fresh = ResultCache(root)
+        report = fresh.verify_integrity()
+        assert report["corrupt"] == 0
+        assert report["results"] > 0
+        # Whole batches only: every committed batch has all its rows.
+        assert report["results"] % 3 == 0
+        for b in range(report["results"] // 3):
+            for row in range(3):
+                found = fresh.get_result(f"{1:02x}{b:058x}{row:04x}")
+                assert found is not None and found[1] == b
+
+    def test_exit_inside_a_batch_leaves_none_of_it(self, tmp_path):
+        root = str(tmp_path / "c")
+        ResultCache(root)
+        pid = os.fork()
+        if pid == 0:
+            try:
+                _put_batches(root, 1, 2)  # committed
+                cache = ResultCache(root)
+                with cache.batch():
+                    cache.put_result("ee" * 32, [_message()], suppressed=9)
+                    cache.put_unit_memo("ee" * 32, _memo())
+                    os._exit(0)
+            finally:
+                os._exit(1)
+        _, status = os.waitpid(pid, 0)
+        assert os.WEXITSTATUS(status) == 0
+        fresh = ResultCache(root)
+        assert fresh.get_result("ee" * 32) is None
+        assert fresh.get_unit_memo("ee" * 32) is None
+        assert fresh.verify_integrity() == {
+            "results": 6, "unit_memos": 0, "corrupt": 0,
+        }
+
+
+class TestThreadSharing:
+    """The checking service's worker threads share one ResultCache."""
+
+    THREADS = 4
+    BATCHES = 100
+
+    def test_threads_share_one_instance(self, tmp_path):
+        import sys
+        import threading
+
+        cache = ResultCache(str(tmp_path / "c"))
+        errors = []
+        start = threading.Barrier(self.THREADS)
+
+        def worker(wid):
+            try:
+                start.wait(10)
+                for b in range(self.BATCHES):
+                    with cache.batch():
+                        for row in range(3):
+                            key = f"{wid:02x}{b:058x}{row:04x}"
+                            cache.put_result(key, [_message()], suppressed=b)
+                            cache.put_unit_memo(key, _memo())
+                        # Its own batch is visible; earlier ones are
+                        # committed, whichever thread reads them.
+                        assert cache.get_result(key)[1] == b
+                        if b:
+                            older = f"{wid:02x}{b - 1:058x}{0:04x}"
+                            assert cache.get_unit_memo(older) == _memo()
+            except BaseException as exc:  # surfaced below
+                errors.append(exc)
+
+        torn = []
+        done = threading.Event()
+
+        def watcher():
+            # Another connection sees each batch whole or not at all.
+            db = sqlite3.connect(os.path.join(cache.root, "cache.db"))
+            try:
+                while not done.is_set():
+                    rows = db.execute(
+                        "SELECT substr(key, 1, 60), count(*) FROM entries "
+                        "GROUP BY 1 HAVING count(*) != 6"
+                    ).fetchall()
+                    torn.extend(rows)
+            finally:
+                db.close()
+
+        threads = [threading.Thread(target=worker, args=(wid,))
+                   for wid in range(self.THREADS)]
+        watching = threading.Thread(target=watcher)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads as often as possible
+        try:
+            watching.start()
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            done.set()
+            watching.join(60)
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads + [watching])
+        assert errors == []
+        assert torn == []
+        total = self.THREADS * self.BATCHES * 3
+        fresh = ResultCache(cache.root)
+        for wid in range(self.THREADS):
+            for b in range(self.BATCHES):
+                for row in range(3):
+                    key = f"{wid:02x}{b:058x}{row:04x}"
+                    assert fresh.get_result(key)[1] == b
+        assert cache.verify_integrity() == {
+            "results": total, "unit_memos": total, "corrupt": 0,
+        }
