@@ -11,13 +11,18 @@ Runs two ways:
 
 * under pytest (the small linearity sweep below), and
 * as a script -- ``PYTHONPATH=src python benchmarks/bench_scaling.py``
-  measures cold / warm / distributed checking at large sizes (default
-  one million lines) and writes ``BENCH_scaling.json``. The distributed
+  measures cold / cold sharded / warm / distributed checking at large
+  sizes (default one million lines) and writes ``BENCH_scaling.json``.
+  The cold sharded column is the same cold check on ``--jobs`` workers
+  with a fresh cache. ``--label NAME`` tags the rows and keeps the rows
+  of other labels already in the output file, so one file can hold the
+  same sizes measured at two commits. The distributed
   column checks with a fresh local cache against a warm shared cache
   service (``--cache-server``), the headline workflow for CI fleets:
   one machine pays the cold cost, every other machine rides its cache.
 """
 
+import gc
 import json
 import os
 import sys
@@ -84,9 +89,20 @@ def _renders(result):
     return [m.render() for m in result.messages]
 
 
+def _timed(engine, files: dict[str, str]):
+    """``(seconds, result)`` of one check. A full collection first keeps
+    the garbage and the live results of the columns before from timing
+    as this one's: the earlier results hold every AST of the program."""
+    gc.collect()
+    t0 = time.perf_counter()
+    result = engine.check_sources(dict(files))
+    return round(time.perf_counter() - t0, 3), result
+
+
 def measure_at_size(target_loc: int, jobs: int = 2) -> dict:
-    """One row of the scaling table: cold serial, warm local, and
-    distributed (fresh local cache + warm shared cache service)."""
+    """One row of the scaling table: cold serial, cold on *jobs* workers,
+    warm local, and distributed (fresh local cache + warm shared cache
+    service)."""
     from repro.incremental import (
         CacheClient,
         CacheServerThread,
@@ -103,15 +119,16 @@ def measure_at_size(target_loc: int, jobs: int = 2) -> dict:
         shared = os.path.join(tmp, "shared")
 
         cold_engine = IncrementalChecker(cache=ResultCache(shared))
-        t0 = time.perf_counter()
-        cold_result = cold_engine.check_sources(dict(files))
-        row["cold_s"] = round(time.perf_counter() - t0, 3)
+        row["cold_s"], cold_result = _timed(cold_engine, files)
         cold_renders = _renders(cold_result)
 
+        sharded_engine = IncrementalChecker(
+            cache=ResultCache(os.path.join(tmp, "sharded")), jobs=jobs
+        )
+        row["cold_jobs_s"], sharded_result = _timed(sharded_engine, files)
+
         warm_engine = IncrementalChecker(cache=ResultCache(shared))
-        t0 = time.perf_counter()
-        warm_result = warm_engine.check_sources(dict(files))
-        row["warm_s"] = round(time.perf_counter() - t0, 3)
+        row["warm_s"], warm_result = _timed(warm_engine, files)
         assert warm_engine.stats.cache_hits == warm_engine.stats.units
 
         # Distributed: a "new machine" with an empty local cache pulls
@@ -124,9 +141,7 @@ def measure_at_size(target_loc: int, jobs: int = 2) -> dict:
                 remote=client,
                 jobs=jobs,
             )
-            t0 = time.perf_counter()
-            dist_result = dist_engine.check_sources(dict(files))
-            row["distributed_s"] = round(time.perf_counter() - t0, 3)
+            row["distributed_s"], dist_result = _timed(dist_engine, files)
             client.close()
         finally:
             server.close()
@@ -134,12 +149,16 @@ def measure_at_size(target_loc: int, jobs: int = 2) -> dict:
         row["remote_hits"] = dist_engine.stats.remote_hits
         row["remote_misses"] = dist_engine.stats.remote_misses
         row["jobs"] = jobs
+        row["cold_jobs_speedup"] = round(
+            row["cold_s"] / max(row["cold_jobs_s"], 1e-9), 2
+        )
         row["warm_speedup"] = round(row["cold_s"] / max(row["warm_s"], 1e-9), 1)
         row["distributed_speedup"] = round(
             row["cold_s"] / max(row["distributed_s"], 1e-9), 1
         )
         row["identical_output"] = (
-            _renders(warm_result) == cold_renders
+            _renders(sharded_result) == cold_renders
+            and _renders(warm_result) == cold_renders
             and _renders(dist_result) == cold_renders
         )
     return row
@@ -150,6 +169,7 @@ def main(argv=None) -> int:
     sizes = [1_000_000]
     jobs = 2
     out_path = "BENCH_scaling.json"
+    label = None
     it = iter(argv)
     for arg in it:
         if arg == "--sizes":
@@ -160,6 +180,10 @@ def main(argv=None) -> int:
             jobs = int(next(it))
         elif arg.startswith("--jobs="):
             jobs = int(arg.split("=", 1)[1])
+        elif arg == "--label":
+            label = next(it)
+        elif arg.startswith("--label="):
+            label = arg.split("=", 1)[1]
         elif arg == "--out":
             out_path = next(it)
         elif arg.startswith("--out="):
@@ -169,12 +193,21 @@ def main(argv=None) -> int:
             return 2
 
     rows = []
+    if label is not None and os.path.exists(out_path):
+        with open(out_path, encoding="utf-8") as handle:
+            rows = [
+                row for row in json.load(handle).get("rows", [])
+                if row.get("label") != label
+            ]
     ok = True
     for target_loc in sizes:
         row = measure_at_size(target_loc, jobs=jobs)
+        if label is not None:
+            row = {"label": label, **row}
         rows.append(row)
         print(
             f"{row['loc']:>9} loc: cold {row['cold_s']}s, "
+            f"cold on {jobs} jobs {row['cold_jobs_s']}s, "
             f"warm {row['warm_s']}s ({row['warm_speedup']}x), "
             f"distributed {row['distributed_s']}s "
             f"({row['distributed_speedup']}x, floor "
@@ -186,7 +219,7 @@ def main(argv=None) -> int:
         )
 
     report = {
-        "benchmark": "scaling: cold vs warm vs distributed",
+        "benchmark": "scaling: cold vs cold sharded vs warm vs distributed",
         "required_distributed_speedup": REQUIRED_DISTRIBUTED_SPEEDUP,
         "rows": rows,
     }

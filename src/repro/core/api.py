@@ -523,6 +523,13 @@ class CheckResult:
     produced under fault containment (parse recovery, skipped files,
     contained crashes); ``internal_errors`` counts contained checker
     crashes across the run (nonzero drives CLI exit status 3).
+
+    ``units`` holds the ASTs parsed in this process: every unit for
+    ``Checker``; for the incremental engine, the units it did not answer
+    from its unit memos, except with ``jobs > 1``, whose pool workers
+    keep the ASTs they parse. ``keep_units=True`` (the CLI's ``--dot``
+    and ``--trace-function``) keeps the frontend in this process at any
+    job count, so ``units`` then holds every unit.
     """
 
     messages: list[Message]

@@ -150,7 +150,7 @@ class CampaignResult:
 
 
 # ---------------------------------------------------------------------------
-# the fork pool (same shape as repro.incremental.parallel)
+# the fork pool: an initializer hands each worker the campaign settings
 # ---------------------------------------------------------------------------
 
 _WORKER_CONFIG: CampaignConfig | None = None

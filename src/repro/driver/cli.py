@@ -400,7 +400,7 @@ def run(argv: list[str], cache=None, jobs: int | None = None) -> tuple[int, str]
         out.append(_trace_for(checker, result, trace_function_name))
 
     if want_stats:
-        out.append(_stats_for(result))
+        out.append(_stats_for(result, stats))
         if stats is not None:
             out.append(stats.render())
 
@@ -475,10 +475,17 @@ def _dot_for(result: CheckResult, name: str) -> str:
     raise CliError(f"no function named {name!r} in the checked files")
 
 
-def _stats_for(result: CheckResult) -> str:
-    functions = sum(len(u.functions()) for u in result.units)
+def _stats_for(result: CheckResult, stats=None) -> str:
+    """The ``-stats`` block. An engine run counts from its *stats*: units
+    answered from the cache, or parsed in a pool worker, have no AST in
+    ``result.units``."""
+    if stats is not None:
+        units, functions = stats.units, stats.functions
+    else:
+        units = len(result.units)
+        functions = sum(len(u.functions()) for u in result.units)
     lines = ["statistics:"]
-    lines.append(f"  translation units: {len(result.units)}")
+    lines.append(f"  translation units: {units}")
     lines.append(f"  functions checked: {functions}")
     lines.append(f"  messages:          {len(result.messages)}")
     lines.append(f"  suppressed:        {result.suppressed}")

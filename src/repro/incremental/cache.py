@@ -70,6 +70,7 @@ class UnitMemo:
     iface_pickle: bytes  # pickled (SymbolTable slice, enum_consts)
     includes: list[tuple[str, str]]  # (resolved name, text sha) closure
     enum_consts: dict[str, int] = field(default_factory=dict)
+    functions: int = 0  # function definitions the unit's check covers
 
 
 def _check_key(key: str) -> None:
@@ -102,6 +103,7 @@ def _memo_row(data, blob) -> UnitMemo | None:
             str(fields["token_digest"]), str(fields["iface_digest"]),
             bytes(blob), [(str(n), str(s)) for n, s in fields["includes"]],
             {str(k): int(v) for k, v in fields["enum_consts"].items()},
+            int(fields["functions"]),
         )
     except (KeyError, TypeError, ValueError, AttributeError):
         return None
@@ -306,6 +308,7 @@ class ResultCache:
             "iface_digest": memo.iface_digest,
             "includes": list(memo.includes),
             "enum_consts": dict(memo.enum_consts),
+            "functions": memo.functions,
         }), memo.iface_pickle)
 
     # -- check results -------------------------------------------------------

@@ -78,6 +78,7 @@ def _encode_memo(memo: UnitMemo) -> dict:
         "iface_pickle": base64.b64encode(memo.iface_pickle).decode("ascii"),
         "includes": [[name, sha] for name, sha in memo.includes],
         "enum_consts": dict(memo.enum_consts),
+        "functions": memo.functions,
     }
 
 
@@ -97,6 +98,7 @@ def _decode_memo(payload) -> UnitMemo | None:
             enum_consts={
                 str(k): int(v) for k, v in payload["enum_consts"].items()
             },
+            functions=int(payload["functions"]),
         )
     except (KeyError, TypeError, ValueError, binascii.Error):
         return None

@@ -18,8 +18,14 @@ This engine makes re-checking cheap, the property the paper leans on
   exact key. An edit re-checks the units whose tokens changed and the
   units that read a changed entry — reordering the units on the command
   line re-checks none of them unless the order changes a merged entry;
-* **parallel misses** — units that do need checking fan out over a
-  process pool (``jobs > 1``), with results identical to serial order.
+* **a two-round pool** — with ``jobs > 1`` a cold run forks workers
+  once: they run the frontend of the units whose memo missed and keep
+  the ASTs, returning only each unit's memo (its interface slice among
+  it); the parent merges the symbol table and probes the result cache,
+  then each worker checks the misses it parsed (see
+  :mod:`repro.incremental.parallel`). Output is identical to a serial
+  run. With ``jobs == 1``, or ``keep_units`` (which needs the ASTs in
+  :attr:`CheckResult.units`), the frontend runs in this process.
 
 The engine produces the same :class:`CheckResult` as ``Checker`` — the
 integration suite asserts message-for-message equality.
@@ -80,7 +86,7 @@ from .fingerprint import (
 )
 from .shard import STRATEGIES
 
-#: The pool scheduler; loaded only when a run has misses to fan out.
+#: The worker pool; loaded only when a run has units to fan out.
 _PARALLEL_MODULES = ("repro.incremental.parallel",)
 
 
@@ -126,7 +132,30 @@ class CheckStats:
     remote_used: bool = False
     remote_hits: int = 0
     remote_misses: int = 0
+    # Function definitions across all units, for the CLI's -stats block.
+    functions: int = 0
+    # Wall time of each worker-pool round ("frontend", "check"); the
+    # phase rows above sum the workers' own times.
+    pool_s: dict[str, float] = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
+
+    #: The phase counters a pool worker measures per unit and returns;
+    #: the parent adds them to its own.
+    WORKER_PHASES = (
+        "lex_s", "preprocess_s", "parse_s", "check_s", "symtab_s",
+        "fingerprint_s", "cache_s",
+    )
+
+    def worker_timings(self) -> dict[str, float]:
+        return {
+            name: getattr(self, name)
+            for name in self.WORKER_PHASES
+            if getattr(self, name)
+        }
+
+    def add_worker_timings(self, timings: dict[str, float]) -> None:
+        for name, seconds in timings.items():
+            setattr(self, name, getattr(self, name) + seconds)
 
     def render(self) -> str:
         lines = ["incremental statistics:"]
@@ -200,9 +229,17 @@ class CheckStats:
         return named
 
     def render_profile(self) -> str:
-        """The ``--profile`` table: per-phase timings, cold vs warm."""
+        """The ``--profile`` table: per-phase timings, cold vs warm.
+
+        After a pooled run the rows sum the workers' times, which can
+        exceed the run's wall time; shares are then taken of the rows'
+        sum, so none exceeds 100%.
+        """
         timings = self.phase_timings()
-        total = timings["total"] or 1e-12
+        # The rows sum to the total, unless a pooled run's exceed it.
+        total = sum(
+            timings[phase] for phase in self.PHASES + ("other",)
+        ) or 1e-12
         warm = self.cache_hits
         cold = self.units - warm
         lines = ["per-phase timing:"]
@@ -213,6 +250,15 @@ class CheckStats:
                 f"  {phase:<12} {seconds * 1000:>8.1f} ms  {seconds / total:>5.1%}"
             )
         lines.append(f"  {'total':<12} {timings['total'] * 1000:>8.1f} ms")
+        if self.pool_s:
+            rounds = ", ".join(
+                f"{name} {seconds * 1000:.1f} ms"
+                for name, seconds in self.pool_s.items()
+            )
+            lines.append(
+                f"  pool:        {rounds} (wall per round; the rows sum "
+                f"worker time)"
+            )
         if self.prologue_s or self.render_s:
             lines.append(
                 f"  driver:      prologue {self.prologue_s * 1000:.1f} ms, "
@@ -235,10 +281,14 @@ class CheckStats:
 class _UnitPlan:
     """Work-in-progress bookkeeping for one translation unit."""
 
+    index: int  # position in the run's unit list
     name: str
     text: str
+    key: str = ""               # the source key, which keys the memo
     parsed: ParsedUnit | None = None
     interface: SymbolTable | None = None
+    iface_pickle: bytes = b""   # the memo's interface, until unpickled
+    functions: int = 0
     token_digest: str = ""
     iface_digest: str = ""
     enum_consts: dict[str, int] = field(default_factory=dict)
@@ -341,6 +391,7 @@ class IncrementalChecker:
         self._include_digests = {}
 
         batch_span = self.tracer.span("batch", cat="batch")
+        pool = None
         try:
             # Warm the prelude before any per-unit work so its cost shows
             # up as one named span instead of hiding inside the first
@@ -369,7 +420,10 @@ class IncrementalChecker:
                 if name.endswith(".h"):
                     sources.add(name, text)
             unit_names = [n for n in files if not n.endswith(".h")]
-            plans = [_UnitPlan(name=n, text=files[n]) for n in unit_names]
+            plans = [
+                _UnitPlan(index=i, name=n, text=files[n])
+                for i, n in enumerate(unit_names)
+            ]
             stats.units = len(plans)
             metrics.inc("engine.units", len(plans))
             batch_span.annotate(units=len(plans))
@@ -377,15 +431,39 @@ class IncrementalChecker:
             # Phase 1: identify every unit (memo fast path or
             # preprocess+parse). The cancel checkpoints make a service
             # request stop at unit boundaries once its deadline fires.
+            # With jobs > 1 the memo misses wait for the worker pool,
+            # which runs their frontend as its first round.
+            pooled = self.jobs > 1 and not self.keep_units
+            todo: list[_UnitPlan] = []
             for plan in plans:
                 cancel_checkpoint()
                 with self.tracer.span(
                     "unit", cat="unit", unit=plan.name, stage="frontend"
                 ):
-                    self._identify_unit(plan, files, sources, stats)
+                    if self._identify_unit(plan, files, stats):
+                        continue
+                    if pooled:
+                        todo.append(plan)
+                    else:
+                        self._frontend(plan, sources, stats, remember=True)
+            # The pool starts at most once a run: for round 1 here, or
+            # for round 2 below when round 1 had no work for it.
+            pool_tried = len(todo) > 1
+            if pool_tried:
+                pool = self._start_pool(plans, sources, stats, len(todo))
+            if pool is not None:
+                self._frontend_round(pool, todo, sources, stats)
+            else:
+                for plan in todo:
+                    cancel_checkpoint()
+                    with self.tracer.span(
+                        "unit", cat="unit", unit=plan.name, stage="frontend"
+                    ):
+                        self._frontend(plan, sources, stats, remember=True)
 
             # Phase 2: the program-interface digest over all units +
             # libraries.
+            cancel_checkpoint()
             prog_digest = program_digest(
                 [p.iface_digest for p in plans], self._library_digests
             )
@@ -467,63 +545,21 @@ class IncrementalChecker:
                         misses.append(plan)
             stats.cache_s += probe_span.duration
 
-            # Phase 5: check the misses (parallel when asked and possible).
-            outputs: list[UnitCheckOutput] = []
+            # Phase 5: check the misses (on the pool when asked and
+            # possible).
             if misses:
-                for plan in misses:
-                    cancel_checkpoint()
-                    if plan.parsed is None:
-                        with self.tracer.span(
-                            "unit", cat="unit", unit=plan.name,
-                            stage="frontend",
-                        ):
-                            self._ensure_parsed(plan, files, sources, stats)
-                parallel = self.jobs > 1 and len(misses) > 1
-                self._load(
-                    ANALYSIS_MODULES + (_PARALLEL_MODULES if parallel else ()),
-                    stats,
-                )
-                check_span = self.tracer.span(
-                    "analyze", cat="phase", units=len(misses)
-                )
-                try:
-                    outputs = None
-                    if parallel:
-                        from .parallel import check_units_parallel
-
-                        outputs, par_notes = check_units_parallel(
-                            [p.parsed for p in misses], symtab, self.flags,
-                            enum_consts, self.jobs, crash_dir=self.crash_dir,
-                            metrics=metrics,
-                            shard_strategy=self.shard_strategy,
-                            cluster_keys=[p.iface_digest for p in misses],
-                            weights=[max(1, len(p.text)) for p in misses],
-                        )
-                        stats.notes.extend(par_notes)
-                    if outputs is None:
-                        outputs = []
-                        for p in misses:
-                            cancel_checkpoint()
-                            with self.tracer.span(
-                                "unit", cat="unit", unit=p.name,
-                                stage="analyze",
-                            ) as unit_span:
-                                outputs.append(check_parsed_unit(
-                                    p.parsed, symtab, self.flags, enum_consts,
-                                    crash_dir=self.crash_dir,
-                                    tracer=self.tracer,
-                                ))
-                            metrics.observe(
-                                "engine.unit_check_s", unit_span.duration
-                            )
-                    else:
-                        stats.parallel_used = True
-                        metrics.inc("engine.parallel.runs")
-                finally:
-                    check_span.end()
-                stats.check_s += check_span.duration
-            for plan, output in zip(misses, outputs):
-                plan.output = output
+                if not pool_tried and self.jobs > 1 and len(misses) > 1:
+                    pool = self._start_pool(
+                        plans, sources, stats, len(misses)
+                    )
+                if pool is not None:
+                    self._check_round(
+                        pool, misses, symtab, enum_consts, sources, stats
+                    )
+                else:
+                    self._check_serial(
+                        misses, symtab, enum_consts, sources, stats
+                    )
             if restamps or misses:
                 with self.tracer.span("cache", cat="phase") as write_span:
                     self._store_results(restamps, misses, entries)
@@ -540,7 +576,10 @@ class IncrementalChecker:
             stats.internal_errors = sum(
                 p.output.internal_errors for p in plans
             )
+            stats.functions = sum(p.functions for p in plans)
         finally:
+            if pool is not None:
+                stats.notes.extend(pool.close())
             batch_span.end()
         stats.total_s = batch_span.duration
         metrics.inc("engine.units.degraded", stats.degraded_units)
@@ -619,14 +658,15 @@ class IncrementalChecker:
         self,
         plan: _UnitPlan,
         files: dict[str, str],
-        sources: SourceManager,
         stats: CheckStats,
-    ) -> None:
-        """Fill the plan's digests, from the memo when possible."""
+    ) -> bool:
+        """Fill the plan's source key, and its digests from the memo when
+        one matches; returns whether one did (otherwise the unit needs
+        its frontend)."""
         with self.tracer.span(
             "fingerprint", cat="phase", unit=plan.name
         ) as key_span:
-            key = source_key(plan.name, plan.text, self.defines)
+            plan.key = source_key(plan.name, plan.text, self.defines)
         stats.fingerprint_s += key_span.duration
         if not self.keep_units:
             memo = None
@@ -634,7 +674,7 @@ class IncrementalChecker:
                 with self.tracer.span(
                     "cache", cat="phase", unit=plan.name
                 ) as memo_span:
-                    memo = self._local_memo(key, files)
+                    memo = self._local_memo(plan.key, files)
                 stats.cache_s += memo_span.duration
             if memo is None and self._remote_alive():
                 # The memo probe is what makes a remote hit cheap: the
@@ -645,7 +685,7 @@ class IncrementalChecker:
                 with self.tracer.span(
                     "cache", cat="phase", unit=plan.name
                 ) as memo_span:
-                    remote_memo = self.remote.get_memo(key)
+                    remote_memo = self.remote.get_memo(plan.key)
                 stats.cache_s += memo_span.duration
                 if remote_memo is not None and self._includes_unchanged(
                     remote_memo.includes, files
@@ -653,21 +693,57 @@ class IncrementalChecker:
                     stats.remote_hits += 1
                     memo = remote_memo
                     if self.cache is not None:
-                        self.cache.put_unit_memo(key, memo)
+                        self.cache.put_unit_memo(plan.key, memo)
                 else:
                     stats.remote_misses += 1
             if memo is not None:
                 stats.memo_hits += 1
                 self.metrics.inc("cache.memo.hit")
-                plan.token_digest = memo.token_digest
-                plan.iface_digest = memo.iface_digest
-                plan.enum_consts = dict(memo.enum_consts)
-                plan.interface = None  # unpickled lazily in _interface_of
-                plan._memo = memo  # type: ignore[attr-defined]
-                return
+                self._use_memo(plan, memo)
+                return True
         stats.memo_misses += 1
         self.metrics.inc("cache.memo.miss")
-        self._parse_plan(plan, sources, stats, memo_key=key)
+        return False
+
+    def _use_memo(self, plan: _UnitPlan, memo: UnitMemo) -> None:
+        """Fill the plan from a memo: one read from the cache, or the
+        record a pool worker returned for the unit it parsed."""
+        plan.token_digest = memo.token_digest
+        plan.iface_digest = memo.iface_digest
+        plan.enum_consts = dict(memo.enum_consts)
+        plan.functions = memo.functions
+        plan.interface = None  # unpickled lazily in _interface_of
+        plan.iface_pickle = memo.iface_pickle
+
+    def _wants_memo(self) -> bool:
+        return self.cache is not None or self._remote_alive()
+
+    def _memo_for(
+        self, plan: _UnitPlan, included: set[str], sources: SourceManager
+    ) -> UnitMemo:
+        """The memo of a unit whose frontend just ran: its digests, its
+        pickled interface slice and the digests of the headers it
+        included."""
+        closure = []
+        for name in sorted(included):
+            source = sources.get(name)
+            if source is not None:
+                closure.append((name, text_digest(source.text)))
+        return UnitMemo(
+            token_digest=plan.token_digest,
+            iface_digest=plan.iface_digest,
+            iface_pickle=pickle.dumps((plan.interface, plan.enum_consts)),
+            includes=closure,
+            enum_consts=plan.enum_consts,
+            functions=plan.functions,
+        )
+
+    def _put_memo(self, key: str, memo: UnitMemo) -> None:
+        if self.cache is not None:
+            self.cache.put_unit_memo(key, memo)
+            self.cache.put_unit_memo(memo_variant_key(key, memo.includes), memo)
+        if self._remote_alive():
+            self.remote.put_memo(key, memo)
 
     def _load(self, modules: tuple[str, ...], stats: CheckStats) -> None:
         """Import *modules* on first use under a ``load`` span.
@@ -685,13 +761,32 @@ class IncrementalChecker:
                 importlib.import_module(name)
         stats.load_s += span.duration
 
+    def _frontend(
+        self,
+        plan: _UnitPlan,
+        sources: SourceManager,
+        stats: CheckStats,
+        remember: bool = False,
+    ) -> None:
+        """Run the unit's frontend in this process; with *remember*, also
+        write its memo."""
+        included = self._parse_plan(plan, sources, stats)
+        if remember and included is not None and self._wants_memo():
+            with self.tracer.span(
+                "cache", cat="phase", unit=plan.name
+            ) as memo_span:
+                self._put_memo(plan.key, self._memo_for(plan, included, sources))
+            stats.cache_s += memo_span.duration
+
     def _parse_plan(
         self,
         plan: _UnitPlan,
         sources: SourceManager,
         stats: CheckStats,
-        memo_key: str | None = None,
-    ) -> None:
+    ) -> set[str] | None:
+        """Preprocess, fingerprint and parse the unit, filling the plan.
+        Returns the names the unit included, or ``None`` when its
+        frontend gave up (the plan then holds the failed unit)."""
         self._load(FRONTEND_MODULES, stats)
         if prelude_parse_pending():
             # The snapshot's pickled prelude parse is first needed here;
@@ -705,14 +800,14 @@ class IncrementalChecker:
             )
         except frontend_errors() as exc:
             self._fail_plan(plan, frontend_fatal(exc, plan.name))
-            return
+            return None
         except Exception as exc:
             write_crash_bundle(
                 self.crash_dir, phase="preprocess", unit=plan.name, exc=exc,
                 source_text=plan.text,
             )
             self._fail_plan(plan, internal_fatal(exc, plan.name, "preprocessing"))
-            return
+            return None
         with self.tracer.span(
             "fingerprint", cat="phase", unit=plan.name
         ) as digest_span:
@@ -735,42 +830,16 @@ class IncrementalChecker:
                 source_text=plan.text,
             )
             self._fail_plan(plan, internal_fatal(exc, plan.name, "parsing"))
-            return
+            return None
         stats.parse_s += parse_span.end()
         plan.enum_consts = dict(plan.parsed.enum_consts)
+        plan.functions = len(plan.parsed.unit.functions())
         with self.tracer.span(
             "symtab", cat="phase", unit=plan.name
         ) as iface_span:
             plan.interface = unit_interface(plan.parsed)
         stats.symtab_s += iface_span.duration
-        want_memo = self.cache is not None or self._remote_alive()
-        if want_memo and memo_key is not None:
-            with self.tracer.span(
-                "cache", cat="phase", unit=plan.name
-            ) as memo_span:
-                iface_pickle = pickle.dumps(
-                    (plan.interface, plan.enum_consts)
-                )
-                closure = []
-                for name in sorted(included):
-                    source = sources.get(name)
-                    if source is not None:
-                        closure.append((name, text_digest(source.text)))
-                memo = UnitMemo(
-                    token_digest=plan.token_digest,
-                    iface_digest=plan.iface_digest,
-                    iface_pickle=iface_pickle,
-                    includes=closure,
-                    enum_consts=plan.enum_consts,
-                )
-                if self.cache is not None:
-                    self.cache.put_unit_memo(memo_key, memo)
-                    self.cache.put_unit_memo(
-                        memo_variant_key(memo_key, closure), memo
-                    )
-                if self._remote_alive():
-                    self.remote.put_memo(memo_key, memo)
-            stats.cache_s += memo_span.duration
+        return included
 
     def _fail_plan(self, plan: _UnitPlan, fatal) -> None:
         """Fill a plan whose frontend gave up: an empty unit carrying the
@@ -779,6 +848,7 @@ class IncrementalChecker:
         plan.parsed = failed_parsed_unit(plan.name, fatal)
         plan.token_digest = text_digest("unparseable\0" + plan.text)
         plan.enum_consts = {}
+        plan.functions = 0
         plan.interface = unit_interface(plan.parsed)
         plan.iface_digest = interface_digest(plan.interface, {})
 
@@ -825,26 +895,159 @@ class IncrementalChecker:
         )
 
     def _ensure_parsed(
-        self,
-        plan: _UnitPlan,
-        files: dict[str, str],
-        sources: SourceManager,
-        stats: CheckStats,
+        self, plan: _UnitPlan, sources: SourceManager, stats: CheckStats
     ) -> None:
         """Parse a memo-hit unit whose check result turned out to be stale
         (e.g. the flags changed): the memo saved preprocessing knowledge,
         but checking needs the AST."""
         if plan.parsed is None:
-            self._parse_plan(plan, sources, stats, memo_key=None)
+            self._parse_plan(plan, sources, stats)
 
     def _interface_of(self, plan: _UnitPlan) -> SymbolTable:
         if plan.interface is not None:
             return plan.interface
-        memo: UnitMemo = plan._memo  # type: ignore[attr-defined]
-        interface, enum_consts = pickle.loads(memo.iface_pickle)
+        interface, enum_consts = pickle.loads(plan.iface_pickle)
         plan.interface = interface
         plan.enum_consts = dict(enum_consts)
         return interface
+
+    # -- checking ------------------------------------------------------------
+
+    def _check_serial(
+        self,
+        misses: list[_UnitPlan],
+        symtab: SymbolTable,
+        enum_consts: dict[str, int],
+        sources: SourceManager,
+        stats: CheckStats,
+    ) -> None:
+        """Parse (where no AST is at hand) and check *misses* in this
+        process."""
+        for plan in misses:
+            cancel_checkpoint()
+            if plan.parsed is None:
+                with self.tracer.span(
+                    "unit", cat="unit", unit=plan.name, stage="frontend",
+                ):
+                    self._ensure_parsed(plan, sources, stats)
+        self._load(ANALYSIS_MODULES, stats)
+        check_span = self.tracer.span(
+            "analyze", cat="phase", units=len(misses)
+        )
+        try:
+            for plan in misses:
+                cancel_checkpoint()
+                with self.tracer.span(
+                    "unit", cat="unit", unit=plan.name, stage="analyze",
+                ) as unit_span:
+                    plan.output = check_parsed_unit(
+                        plan.parsed, symtab, self.flags, enum_consts,
+                        crash_dir=self.crash_dir, tracer=self.tracer,
+                    )
+                self.metrics.observe("engine.unit_check_s", unit_span.duration)
+        finally:
+            check_span.end()
+        stats.check_s += check_span.duration
+
+    # -- the worker pool (see parallel.py) -------------------------------------
+
+    def _start_pool(
+        self,
+        plans: list[_UnitPlan],
+        sources: SourceManager,
+        stats: CheckStats,
+        units: int,
+    ):
+        """Fork the worker pool for a run whose first pooled round has
+        *units* units; ``None`` (with a note) when it cannot start. The
+        frontend, the analysis and the prelude parse are loaded first,
+        so every worker inherits them."""
+        self._load(
+            FRONTEND_MODULES + ANALYSIS_MODULES + _PARALLEL_MODULES, stats
+        )
+        if prelude_parse_pending():
+            with self.tracer.span("prelude", cat="phase") as prelude_span:
+                _prelude_parsed()
+            stats.prelude_s += prelude_span.duration
+        from .parallel import start_pool
+
+        pool, notes = start_pool(
+            self, plans, sources, min(self.jobs, units), self.metrics, units
+        )
+        stats.notes.extend(notes)
+        if pool is not None:
+            stats.parallel_used = True
+            self.metrics.inc("engine.parallel.runs")
+        return pool
+
+    def _frontend_round(
+        self, pool, todo: list[_UnitPlan], sources: SourceManager,
+        stats: CheckStats,
+    ) -> None:
+        """Round 1: the workers run the frontend of *todo* and keep the
+        ASTs; each unit comes back as its memo, which is written here."""
+        cancel_checkpoint()
+        with self.tracer.span(
+            "round", cat="phase", round="frontend", units=len(todo)
+        ) as round_span:
+            for plan, (memo, failed), timings, spans, pid in pool.frontend(
+                todo, self.shard_strategy
+            ):
+                self._absorb(stats, timings, spans, pid)
+                self._use_memo(plan, memo)
+                if not failed and self._wants_memo():
+                    with self.tracer.span(
+                        "cache", cat="phase", unit=plan.name
+                    ) as memo_span:
+                        self._put_memo(plan.key, memo)
+                    stats.cache_s += memo_span.duration
+        stats.pool_s["frontend"] = round_span.duration
+        for plan in pool.take_lost():
+            cancel_checkpoint()
+            with self.tracer.span(
+                "unit", cat="unit", unit=plan.name, stage="frontend"
+            ):
+                self._frontend(plan, sources, stats, remember=True)
+
+    def _check_round(
+        self,
+        pool,
+        misses: list[_UnitPlan],
+        symtab: SymbolTable,
+        enum_consts: dict[str, int],
+        sources: SourceManager,
+        stats: CheckStats,
+    ) -> None:
+        """Round 2: the workers check the misses, each its own first,
+        against one pickled copy of the merged symbol table."""
+        cancel_checkpoint()
+        blob = pickle.dumps(
+            (symtab, enum_consts), protocol=pickle.HIGHEST_PROTOCOL
+        )
+        with self.tracer.span(
+            "round", cat="phase", round="check", units=len(misses)
+        ) as round_span:
+            for plan, output, timings, spans, pid in pool.check(misses, blob):
+                self._absorb(stats, timings, spans, pid)
+                self.metrics.observe(
+                    "engine.unit_check_s", timings.get("check_s", 0.0)
+                )
+                plan.output = output
+        stats.pool_s["check"] = round_span.duration
+        lost = pool.take_lost()
+        stats.notes.extend(pool.close())
+        if lost:
+            self._check_serial(lost, symtab, enum_consts, sources, stats)
+
+    def _absorb(self, stats: CheckStats, timings, spans, pid: int) -> None:
+        """Add one worker unit's phase times to the run's, and re-emit its
+        spans on the worker's own track."""
+        stats.add_worker_timings(timings)
+        for name, cat, start, duration, meta in spans:
+            self.tracer.add_complete(
+                name, start=start, duration=duration, cat=cat, worker=pid,
+                **meta,
+            )
 
     def _local_memo(self, key: str, files: dict[str, str]) -> UnitMemo | None:
         """The local memo for source key *key* whose include closure still

@@ -45,7 +45,9 @@ from ..stdlib.specs import PRELUDE_DEFINES, PRELUDE_TEXT, SYSTEM_HEADERS
 #: cheaper); old caches self-wipe with a visible rebuild note.
 #: v3: dependency-validated result slots (:func:`slot_key`) next to the
 #: exact keys; failed units' interface digests use the entry digests.
-ENGINE_VERSION = 3
+#: v4: unit memos carry the unit's function count, so ``-stats`` counts
+#: the functions of units answered from the cache.
+ENGINE_VERSION = 4
 
 
 def _sha(*parts: str) -> str:

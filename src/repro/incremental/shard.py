@@ -1,20 +1,19 @@
 """Shard partitioning for the distributed checking scheduler.
 
 A *shard* is a batch of translation units dispatched to one worker as a
-single task. Sharding replaces the one-task-per-unit fan-out: batching
-amortizes the per-task IPC cost, and partitioning by
-interface-dependency cluster keeps units that share interface digests
-(the same headers, the same module family) on the same worker, so the
-symbol-table state they exercise travels — and stays hot — once per
-worker instead of once per unit.
+single task: the worker pool's frontend round (see :mod:`.parallel`)
+hands out one shard at a time. Batching amortizes the per-task IPC
+cost.
 
 Three strategies, selectable with ``--shard-strategy``:
 
-* ``interface`` (default) — group units by their cluster key (the
-  engine passes each unit's interface digest), then place whole
-  clusters onto shards with the LPT greedy rule (heaviest cluster
-  first, onto the currently lightest shard). Clusters are never split,
-  so two units with the same interface digest always land together.
+* ``interface`` (default) — group units by their cluster key, then
+  place whole clusters onto shards with the LPT greedy rule (heaviest
+  cluster first, onto the currently lightest shard). Clusters are never
+  split, so two units with the same key always land together. The pool
+  partitions units before their frontend ran, when no interface digest
+  exists, and passes no keys: every unit is its own cluster, as with
+  ``size``.
 * ``size`` — ignore clusters; LPT over individual units by weight
   (source length). Best balance, no locality.
 * ``round-robin`` — unit *i* goes to shard ``i % n``. The degenerate

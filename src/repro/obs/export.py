@@ -62,9 +62,10 @@ class ChromeTraceSink:
             "ts": event["ts_us"],
             "dur": event["dur_us"],
             "pid": 1,
-            "tid": 1,
         }
         args = dict(event.get("args") or {})
+        # Spans a pool worker measured go on that worker's own track.
+        out["tid"] = args.get("worker", 1)
         args["span_id"] = event["id"]
         if event.get("parent") is not None:
             args["parent_span_id"] = event["parent"]

@@ -70,7 +70,7 @@ class Tracer:
         self.emitting = sink is not None
         self._next_id = 0
         self._stack: list[int] = []  # open span ids, innermost last
-        self._epoch = time.perf_counter()
+        self.epoch = time.perf_counter()
 
     def span(self, name: str, cat: str = "phase", **meta) -> Span:
         self._next_id += 1
@@ -114,7 +114,7 @@ class Tracer:
             "cat": cat,
             "id": span_id,
             "parent": parent,
-            "ts_us": int((start - self._epoch) * 1e6),
+            "ts_us": int((start - self.epoch) * 1e6),
             "dur_us": int(duration * 1e6),
         }
         if meta:

@@ -33,7 +33,7 @@ from .heap import (
     RuntimeEvent,
     RuntimeEventKind,
 )
-from .layout import layout_of, sizeof_ctype
+from .layout import LayoutError, layout_of, sizeof_ctype
 
 
 class InterpreterError(Exception):
@@ -126,7 +126,10 @@ class Interpreter:
         for unit in units:
             for fdef in unit.functions():
                 self.functions[fdef.name] = fdef
-        self._init_globals()
+        try:
+            self._init_globals()
+        except LayoutError as exc:
+            raise InterpreterError(str(exc)) from None
 
     # ------------------------------------------------------------------
     # setup
@@ -186,6 +189,10 @@ class Interpreter:
             exit_code = exc.code
         except StepBudgetExceeded:
             exit_code = -1
+        except LayoutError as exc:
+            # A type with no finite layout (a struct containing itself
+            # by value) cannot be modelled.
+            raise InterpreterError(str(exc)) from None
         leaked = self.heap.report_leaks()
         return RunResult(
             exit_code=exit_code,

@@ -13,6 +13,7 @@ the fuzz-shaped proof it holds.
 
 import tempfile
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.api import Checker
@@ -148,6 +149,22 @@ class TestFuzzInterpreter:
         # the unmutated program must actually execute (guards against the
         # fuzz property passing vacuously because nothing ever parses)
         assert _execute_everything(WELL_FORMED) >= 3
+
+    def test_struct_containing_itself_by_value_fails_contained(self):
+        # The shape the mutated-program property once found: a struct
+        # member of the struct's own type has no finite layout, which
+        # must surface as an InterpreterError, from a local or a global.
+        for source in (
+            "struct node { int v; struct node inner; };\n"
+            "void entry(void) { struct node n; n.v = 1; }\n",
+            "struct node { int v; struct node inner; };\n"
+            "struct node g;\n"
+            "void entry(void) { }\n",
+        ):
+            unit, symtab, enum_consts = _parse(source)
+            with pytest.raises(InterpreterError, match="nesting too deep"):
+                Interpreter([unit], symtab, enum_consts).run("entry")
+            assert _execute_everything(source) == 0
 
     def test_runaway_loop_hits_step_budget_not_hang(self):
         source = "void spin(void)\n{\n  int i;\n  i = 0;\n  " \

@@ -72,3 +72,41 @@ def test_examples_db_output_matches_golden(request):
         "examples/db output diverged from the golden snapshot; if the "
         "change is intentional, regenerate with --update-golden"
     )
+
+
+def _stats_block(output: str) -> str:
+    """The ``statistics:`` block of a ``-stats`` run (not the engine's
+    timing block that follows it)."""
+    lines = output.splitlines()
+    start = lines.index("statistics:")
+    end = start + 1
+    while end < len(lines) and lines[end].startswith("  "):
+        end += 1
+    return "\n".join(lines[start:end])
+
+
+@pytest.mark.parametrize("stage", range(FINAL_STAGE + 1))
+def test_stats_block_does_not_depend_on_cache_or_jobs(stage, tmp_path):
+    # Units answered from the cache, or parsed in a pool worker, have no
+    # AST in the parent; -stats must count them all the same.
+    paths = []
+    for name, text in sorted(db_sources(stage).items()):
+        path = tmp_path / name
+        path.write_text(text)
+        paths.append(str(path))
+    cache = str(tmp_path / "cache")
+    blocks = {}
+    for label, options, order in (
+        ("classic", [], paths),
+        ("no cache", ["--no-cache"], paths),
+        ("cold", ["--cache-dir", cache], paths),
+        ("warm", ["--cache-dir", cache], paths),
+        ("jobs 2", ["--jobs", "2"], paths),
+        ("jobs 2 cold", ["--jobs", "2", "--cache-dir", str(tmp_path / "c2")],
+         paths),
+        ("reversed", ["--cache-dir", cache], paths[::-1]),
+    ):
+        _, output = run(["-stats"] + options + order)
+        blocks[label] = _stats_block(output)
+    assert "translation units: 6" in blocks["classic"]
+    assert len(set(blocks.values())) == 1, blocks

@@ -132,6 +132,77 @@ class TestDefaultPathUntouched:
         assert traced_out == plain_out
 
 
+class TestPooledRun:
+    """A --jobs 2 cold run: worker spans and times reach the trace and
+    the --profile table."""
+
+    @pytest.fixture(autouse=True)
+    def _needs_fork(self):
+        from repro.incremental import parallel
+
+        if not parallel.fork_available():
+            pytest.skip("needs fork")
+
+    def test_chrome_trace_has_each_units_phases_on_worker_tracks(
+        self, db_paths, tmp_path
+    ):
+        trace = tmp_path / "trace.json"
+        status, output = run(
+            ["--jobs", "2", "--trace-out", str(trace),
+             "--trace-format", "chrome"] + db_paths
+        )
+        assert (status, output) == run(list(db_paths))
+        events = json.loads(trace.read_text())["traceEvents"]
+        units = sorted(os.path.basename(p) for p in db_paths
+                       if p.endswith(".c"))
+        rounds = [e for e in events if e["name"] == "round"]
+        assert [e["args"]["round"] for e in rounds] == ["frontend", "check"]
+        assert all(e["tid"] == 1 for e in rounds)
+        check_start = rounds[1]["ts"]
+        tracks = set()
+        for phase in ("lex", "preprocess", "parse", "analyze"):
+            # A worker that steals a unit in the check round parses it
+            # again; the frontend round parses each unit once.
+            spans = [
+                e for e in events if e["name"] == phase
+                and (phase == "analyze" or e["ts"] < check_start)
+            ]
+            assert sorted(
+                os.path.basename(e["args"]["unit"]) for e in spans
+            ) == units, phase
+            for event in spans:
+                assert event["tid"] == event["args"]["worker"] != 1
+                tracks.add(event["tid"])
+        assert len(tracks) == 2
+
+    def test_profile_sums_worker_time_and_shows_the_rounds(self, db_paths):
+        _, serial = run(["--profile"] + db_paths)
+        _, pooled = run(["--profile", "--jobs", "2"] + db_paths)
+        table = pooled[pooled.index("per-phase timing:"):].splitlines()
+        rows = {
+            line.split()[0]: line.split() for line in table
+            if line.endswith("%")
+        }
+        for phase in ("lex", "preprocess", "parse", "analyze"):
+            assert float(rows[phase][1]) > 0, phase
+        assert all(float(row[3].rstrip("%")) <= 100.0 for row in rows.values())
+        pool = [line for line in table if line.startswith("  pool:")]
+        assert len(pool) == 1
+        assert "frontend" in pool[0] and "check" in pool[0]
+        assert "schedule:    parallel (jobs=2)" in pooled
+        # The serial table keeps its historical lines.
+        labels = [
+            line.split(":")[0].split()[0]
+            for line in serial[serial.index("per-phase timing:"):]
+            .splitlines()[2:-1]  # up to the warning count
+        ]
+        assert labels == [
+            "lex", "preprocess", "parse", "analyze", "prelude", "symtab",
+            "fingerprint", "cache", "load", "other", "total", "driver",
+            "units", "unit", "schedule",
+        ]
+
+
 class TestDaemonMetricsVerb:
     def test_metrics_request_reports_registry_snapshot(self, tmp_path):
         paths = []

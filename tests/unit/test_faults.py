@@ -1,8 +1,12 @@
 """Unit tests for the fault-containment layer: crash bundles, degraded
 unit outputs, and the parallel scheduler's fallback bookkeeping."""
 
+import io
 import json
+import multiprocessing
 import os
+import pickle
+import types
 
 import pytest
 
@@ -151,124 +155,109 @@ class TestPerFunctionContainment:
 
 
 class TestParallelFallback:
-    def _parsed(self, texts):
-        checker = Checker()
-        return [
-            checker.parse_unit(text, f"u{i}.c")
-            for i, text in enumerate(texts)
-        ]
+    """The two-round worker pool: what a dead worker, a collapsed pool or
+    an interrupt costs, and what crosses its pipes."""
 
-    def test_unpicklable_state_no_longer_forces_serial(self):
-        # Shared state travels through fork-inherited memory, so
-        # unpicklable members (which used to force a serial fallback)
-        # parallelize like anything else.
-        from repro.incremental import parallel
-
-        if not parallel.fork_available():
-            pytest.skip("needs fork")
-        units = self._parsed(["int f(void) { return 1; }",
-                              "int g(void) { return 2; }"])
-        symtab = build_program_symtab([unit_interface(u) for u in units])
-        outputs, notes = parallel.check_units_parallel(
-            units, symtab, Checker().flags,
-            {"bad": lambda: None},  # unpicklable enum_consts
-            jobs=2,
-        )
-        assert outputs is not None and len(outputs) == 2
-        assert notes == []
-
-    def test_single_unit_stays_serial_silently(self):
-        from repro.incremental.parallel import check_units_parallel
-
-        units = self._parsed(["int f(void) { return 1; }"])
-        symtab = build_program_symtab([unit_interface(u) for u in units])
-        outputs, notes = check_units_parallel(
-            units, symtab, Checker().flags, {}, jobs=4
-        )
-        assert outputs is None
-        assert notes == []
-
-    def test_dead_task_is_retried_serially(self, monkeypatch):
+    @pytest.fixture(autouse=True)
+    def _needs_fork(self):
         from repro.incremental import parallel
 
         if not parallel.fork_available():
             pytest.skip("needs fork")
 
-        # Workers inherit the monkeypatched task through fork; the
-        # parent retries each shard with the real check function.
-        monkeypatch.setattr(parallel, "_check_shard_task", _die_task)
-        units = self._parsed(["int f(void) { return 1; }",
-                              "int g(void) { return 2; }"])
-        symtab = build_program_symtab([unit_interface(u) for u in units])
-        outputs, notes = parallel.check_units_parallel(
-            units, symtab, Checker().flags, {}, jobs=2
-        )
-        assert outputs is not None and len(outputs) == 2
-        assert all(out is not None for out in outputs)
-        assert len(notes) == 2
-        assert all("re-checked serially" in note for note in notes)
+    @staticmethod
+    def _files():
+        from repro.bench.dbexample import db_sources
 
-    def test_broken_pool_falls_back_serially_once(self, monkeypatch):
-        # Satellite regression: a collapsed pool used to be recorded as
-        # one retry per surviving unit. It must cost one fallback with
-        # one note, and every unit must still be checked.
-        from repro.incremental import parallel
+        return db_sources(0)  # six units with 34 messages
+
+    @staticmethod
+    def _renders(result):
+        return [m.render() for m in result.messages]
+
+    def _pooled(self, **kwargs):
+        from repro.incremental import IncrementalChecker
         from repro.obs.metrics import MetricsRegistry
 
-        if not parallel.fork_available():
-            pytest.skip("needs fork")
-        monkeypatch.setattr(parallel, "_check_shard_task", _break_pool_task)
-        units = self._parsed([
-            f"int f{i}(void) {{ return {i}; }}" for i in range(4)
-        ])
-        symtab = build_program_symtab([unit_interface(u) for u in units])
-        metrics = MetricsRegistry()
-        outputs, notes = parallel.check_units_parallel(
-            units, symtab, Checker().flags, {}, jobs=2, metrics=metrics
-        )
-        assert outputs is not None and len(outputs) == 4
-        assert all(out is not None for out in outputs)
-        assert len(notes) == 1
-        assert "BrokenProcessPool" in notes[0]
-        assert metrics.count("engine.parallel.fallbacks") == 1
-        assert metrics.count("engine.parallel.unit_retries") == 0
+        engine = IncrementalChecker(jobs=2, metrics=MetricsRegistry(),
+                                    **kwargs)
+        return engine, engine.check_sources(self._files())
 
-    def test_task_payload_does_not_scale_with_unit_count(self, monkeypatch):
-        # Satellite regression: shared state used to be pickled into
-        # every worker via initargs, multiplying peak memory by the job
-        # count. Tasks must now carry only shard indices, so the bytes
-        # pickled per submit stay tiny however large the units are.
-        import pickle as pickle_mod
-        from concurrent.futures import ProcessPoolExecutor
-
+    @staticmethod
+    def _die_on(monkeypatch, name, units):
+        """Make every worker exit at once when it reaches one of *units*
+        in the round whose per-unit function is *name*. Workers fork
+        after the patch, so they inherit it; the parent's serial path
+        never calls these functions."""
         from repro.incremental import parallel
 
-        if not parallel.fork_available():
-            pytest.skip("needs fork")
-        big_body = "".join(f"    int a{i} = {i};\n" for i in range(2000))
-        units = self._parsed([
-            f"int f{i}(void) {{\n{big_body}    return {i}; }}"
-            for i in range(3)
-        ])
-        assert sum(len(u.unit.name) for u in units)  # parsed fine
-        payload_sizes = []
-        real_submit = ProcessPoolExecutor.submit
+        original = getattr(parallel, name)
 
-        def recording_submit(self, fn, *args, **kwargs):
-            payload_sizes.append(len(pickle_mod.dumps((args, kwargs))))
-            return real_submit(self, fn, *args, **kwargs)
+        def dying(engine, plan, *args):
+            if units is None or plan.name in units:
+                os._exit(7)
+            return original(engine, plan, *args)
+
+        monkeypatch.setattr(parallel, name, dying)
+
+    def test_worker_killed_in_the_frontend_round(self, monkeypatch):
+        serial = Checker().check_sources(self._files())
+        self._die_on(monkeypatch, "_frontend_unit", {"erc.c"})
+        engine, result = self._pooled()
+        assert self._renders(result) == self._renders(serial)
+        died = [n for n in engine.stats.notes if "died" in n]
+        assert len(died) == 1 and "exit status 7" in died[0], died
+        assert engine.metrics.count("engine.parallel.fallbacks") == 1
+
+    def test_worker_killed_in_the_check_round(self, monkeypatch):
+        serial = Checker().check_sources(self._files())
+        self._die_on(monkeypatch, "_check_unit", {"erc.c"})
+        engine, result = self._pooled()
+        assert self._renders(result) == self._renders(serial)
+        died = [n for n in engine.stats.notes if "died" in n]
+        assert len(died) == 1, engine.stats.notes
+        assert engine.metrics.count("engine.parallel.fallbacks") == 1
+        assert engine.stats.parallel_used
+
+    def test_collapsed_pool_is_one_fallback(self, monkeypatch):
+        serial = Checker().check_sources(self._files())
+        self._die_on(monkeypatch, "_frontend_unit", None)
+        engine, result = self._pooled()
+        assert self._renders(result) == self._renders(serial)
+        assert len(engine.stats.notes) == 1, engine.stats.notes
+        assert engine.stats.notes[0].startswith("2 pool worker(s) died")
+        assert "6 unfinished unit(s)" in engine.stats.notes[0]
+        assert engine.metrics.count("engine.parallel.fallbacks") == 1
+
+    def test_pool_that_cannot_start_checks_serially_with_one_note(
+        self, monkeypatch
+    ):
+        from repro.incremental import parallel
+
+        def refuse(*args, **kwargs):
+            raise OSError("no processes left")
 
         monkeypatch.setattr(
-            ProcessPoolExecutor, "submit", recording_submit
+            parallel.multiprocessing, "get_context",
+            lambda method: types.SimpleNamespace(Pipe=refuse),
         )
-        symtab = build_program_symtab([unit_interface(u) for u in units])
-        outputs, notes = parallel.check_units_parallel(
-            units, symtab, Checker().flags, {}, jobs=2
-        )
-        assert outputs is not None and len(outputs) == 3
-        assert payload_sizes, "parallel path did not submit tasks"
-        assert max(payload_sizes) < 4096, payload_sizes
-        assert parallel._PARENT_STATE is None  # no lingering references
+        serial = Checker().check_sources(self._files())
+        engine, result = self._pooled()
+        assert self._renders(result) == self._renders(serial)
+        assert engine.stats.notes == [
+            "parallel checking unavailable (cannot start worker pool: "
+            "OSError); checked 6 unit(s) serially"
+        ]
+        assert engine.metrics.count("engine.parallel.fallbacks") == 1
+        assert not engine.stats.parallel_used
+
+    def test_single_unit_stays_serial_silently(self):
+        from repro.incremental import IncrementalChecker
+
+        engine = IncrementalChecker(jobs=4)
+        engine.check_sources({"u.c": "int f(void) { return 1; }\n"})
+        assert engine.stats.notes == []
+        assert not engine.stats.parallel_used
 
     def test_keyboard_interrupt_propagates(self, monkeypatch):
         from repro.incremental import parallel
@@ -276,24 +265,75 @@ class TestParallelFallback:
         def interrupt(*args, **kwargs):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", interrupt)
-        units = self._parsed(["int f(void) { return 1; }",
-                              "int g(void) { return 2; }"])
-        symtab = build_program_symtab([unit_interface(u) for u in units])
+        monkeypatch.setattr(parallel.WorkerPool, "frontend", interrupt)
         with pytest.raises(KeyboardInterrupt):
-            parallel.check_units_parallel(
-                units, symtab, Checker().flags, {}, jobs=2
-            )
+            self._pooled()
+        assert multiprocessing.active_children() == []
+
+    def test_no_ast_crosses_a_pipe(self, monkeypatch):
+        # Records carry memos and outputs; the only program-sized message
+        # to a worker is the one pickled symbol table per worker.
+        from multiprocessing.connection import Connection
+
+        from repro.core.api import ParsedUnit
+        from repro.frontend.cast import Node
+
+        sent, received = [], []
+        real_send, real_recv = Connection.send, Connection.recv
+
+        def send(conn, obj):
+            sent.append(obj)
+            return real_send(conn, obj)
+
+        def recv(conn):
+            obj = real_recv(conn)
+            received.append(obj)
+            return obj
+
+        monkeypatch.setattr(Connection, "send", send)
+        monkeypatch.setattr(Connection, "recv", recv)
+        big_body = "".join(f"    int a{i} = {i};\n" for i in range(800))
+        files = dict(self._files())
+        files["big.c"] = f"int big(void) {{\n{big_body}    return 0; }}\n"
+        from repro.incremental import IncrementalChecker
+
+        IncrementalChecker(jobs=2).check_sources(files)
+        assert len(received) == 14  # one record per unit and round
+        for message in sent + received:
+            assert not _carries(message, (Node, ParsedUnit)), message[0]
+        blobs = [m[2] for m in sent if m[0] == "check" and m[2] is not None]
+        assert len(blobs) == 2 and len(set(blobs)) == 1  # one per worker
+        assert len(blobs[0]) > 4096
+        others = [m for m in sent if not (m[0] == "check" and m[2])]
+        assert others and all(
+            len(pickle.dumps(message)) < 4096 for message in others
+        )
+
+    def test_pooled_memos_serve_a_serial_rerun(self, tmp_path):
+        from repro.incremental import IncrementalChecker, ResultCache
+
+        root = str(tmp_path / "c")
+        _, cold = self._pooled(cache=ResultCache(root))
+        engine = IncrementalChecker(cache=ResultCache(root))
+        warm = engine.check_sources(self._files())
+        assert self._renders(warm) == self._renders(cold)
+        assert engine.stats.memo_hits == engine.stats.units == 6
+        assert engine.stats.cache_hits == 6
+        assert engine.stats.dep_hits == 0
 
 
-def _die_task(indices):
-    raise RuntimeError(f"worker died on {indices}")
+def _carries(obj, types) -> bool:
+    """Whether pickling *obj* would pickle an instance of *types*."""
+    found = []
 
+    class Probe(pickle.Pickler):
+        def persistent_id(self, value):
+            if isinstance(value, types):
+                found.append(value)
+            return None
 
-def _break_pool_task(indices):
-    from concurrent.futures.process import BrokenProcessPool
-
-    raise BrokenProcessPool(f"simulated collapse on {indices}")
+    Probe(io.BytesIO()).dump(obj)
+    return bool(found)
 
 
 class TestCancelScopes:
